@@ -5,9 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"sort"
-	"sync"
 
-	"repro/internal/diskcache"
 	"repro/internal/mpisim"
 	"repro/internal/sweep"
 )
@@ -190,16 +188,18 @@ func matrixCellKey(topo Topology, scenarioID string, policyIDs []string) cacheKe
 	return sha256.Sum256(h.buf)
 }
 
-// CacheStats reports a Machine's result-cache effectiveness.  The
-// number of simulations actually executed is Misses − Coalesced −
-// DiskHits: every lookup that neither hit memory, joined an identical
-// in-flight computation, nor was revived from disk ran the simulator.
+// CacheStats reports a Machine's result-cache effectiveness, summed
+// over its full-result and sweep-point layers.  Every lookup is counted
+// exactly once, by how it was finally answered: a hit from memory, or a
+// miss that was coalesced, revived from disk, or simulated.  So the
+// number of simulations actually executed is exactly Misses − Coalesced
+// − DiskHits.
 type CacheStats struct {
 	// Hits counts lookups served from memory.
 	Hits int64 `json:"hits"`
 	// Misses counts lookups the in-memory tier could not answer.
 	Misses int64 `json:"misses"`
-	// Coalesced counts missed lookups that joined an identical
+	// Coalesced counts missed lookups that waited on an identical
 	// in-flight computation (singleflight) instead of simulating a
 	// duplicate.
 	Coalesced int64 `json:"coalesced"`
@@ -215,82 +215,6 @@ type CacheStats struct {
 	Metrics int `json:"metrics"`
 }
 
-// keyRing is a bounded FIFO of cache keys backed by a circular buffer.
-// Eviction pops the head in place; the old `order = order[1:]` re-slice
-// kept every evicted key's slot reachable from the backing array, so a
-// long-running server's eviction order grew without bound even though
-// the map stayed capped.
-type keyRing struct {
-	buf  []cacheKey
-	head int // index of the oldest element
-	n    int // live element count
-}
-
-// len returns the number of queued keys.
-func (r *keyRing) len() int { return r.n }
-
-// push appends k, growing the buffer geometrically; an owner that only
-// pushes after evicting at its cap keeps the buffer at most one
-// doubling past that cap forever.
-func (r *keyRing) push(k cacheKey) {
-	if r.n == len(r.buf) {
-		grown := make([]cacheKey, max(16, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.buf[(r.head+i)%len(r.buf)]
-		}
-		r.buf, r.head = grown, 0
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = k
-	r.n++
-}
-
-// pop removes and returns the oldest key, zeroing its slot for reuse.
-func (r *keyRing) pop() cacheKey {
-	if r.n == 0 {
-		panic("smtbalance: pop from empty key ring")
-	}
-	k := r.buf[r.head]
-	r.buf[r.head] = cacheKey{}
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return k
-}
-
-// resultCache is the Machine's deterministic result store.  It has two
-// layers keyed by the same canonical hash: full Results (with traces)
-// for Machine.Run, and lightweight sweep metrics for the many points a
-// sweep evaluates.  Both layers are bounded with FIFO eviction — the
-// simulator is pure, so eviction only costs a re-run, never correctness.
-//
-// Two optional tiers extend it: a flightGroup per layer coalesces
-// identical in-flight computations (Machine.runPolicy and the sweep
-// RunFn orchestrate join/publish), and a content-addressed disk store
-// (Machine.UseDiskCache) persists records across restarts and shares
-// them between replicas pointed at one directory.
-type resultCache struct {
-	mu           sync.Mutex
-	hits, misses int64 //mtlint:guardedby mu
-	coalesced    int64 //mtlint:guardedby mu
-	diskHits     int64 //mtlint:guardedby mu
-	diskWrites   int64 //mtlint:guardedby mu
-
-	runs     map[cacheKey]*Result //mtlint:guardedby mu
-	runOrder keyRing              //mtlint:guardedby mu
-	runCap   int                  //mtlint:unguarded fixed at construction, read-only afterwards
-
-	mets     map[cacheKey]sweep.Metrics //mtlint:guardedby mu
-	metOrder keyRing                    //mtlint:guardedby mu
-	metCap   int                        //mtlint:unguarded fixed at construction, read-only afterwards
-
-	// disk is nil without a disk tier.
-	disk *diskcache.Store //mtlint:guardedby mu
-
-	//mtlint:unguarded flightGroup synchronizes itself; leaders publish outside c.mu
-	runFlights flightGroup[*Result]
-	//mtlint:unguarded flightGroup synchronizes itself; leaders publish outside c.mu
-	metFlights flightGroup[sweep.Metrics]
-}
-
 // Default cache bounds: full results carry traces (tens of KB each),
 // metrics are three numbers, so the metrics layer affords far more
 // entries — enough to hold the paper's whole OS-settable 4-rank space.
@@ -299,105 +223,6 @@ const (
 	defaultMetricCacheCap = 1 << 16
 )
 
-func newResultCache() *resultCache {
-	return &resultCache{
-		runs:   make(map[cacheKey]*Result),
-		runCap: defaultRunCacheCap,
-		mets:   make(map[cacheKey]sweep.Metrics),
-		metCap: defaultMetricCacheCap,
-	}
-}
-
-func (c *resultCache) getRun(k cacheKey) (*Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	res, ok := c.runs[k]
-	if ok {
-		c.hits++
-		return res.clone(), true
-	}
-	c.misses++
-	return nil, false
-}
-
-func (c *resultCache) putRun(k cacheKey, res *Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.runs[k]; ok {
-		return
-	}
-	if len(c.runs) >= c.runCap {
-		delete(c.runs, c.runOrder.pop())
-	}
-	c.runs[k] = res.clone()
-	c.runOrder.push(k)
-}
-
-func (c *resultCache) getMetrics(k cacheKey) (sweep.Metrics, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	met, ok := c.mets[k]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return met, ok
-}
-
-func (c *resultCache) putMetrics(k cacheKey, met sweep.Metrics) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.mets[k]; ok {
-		return
-	}
-	if len(c.mets) >= c.metCap {
-		delete(c.mets, c.metOrder.pop())
-	}
-	c.mets[k] = met
-	c.metOrder.push(k)
-}
-
-func (c *resultCache) clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.runs = make(map[cacheKey]*Result)
-	c.runOrder = keyRing{}
-	c.mets = make(map[cacheKey]sweep.Metrics)
-	c.metOrder = keyRing{}
-}
-
-func (c *resultCache) stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits: c.hits, Misses: c.misses,
-		Coalesced: c.coalesced, DiskHits: c.diskHits, DiskWrites: c.diskWrites,
-		Results: len(c.runs), Metrics: len(c.mets),
-	}
-}
-
-// noteCoalesced counts a lookup that joined an in-flight computation.
-func (c *resultCache) noteCoalesced() {
-	c.mu.Lock()
-	c.coalesced++
-	c.mu.Unlock()
-}
-
-// setDisk attaches (or detaches, with nil) the persistent tier.
-func (c *resultCache) setDisk(store *diskcache.Store) {
-	c.mu.Lock()
-	c.disk = store
-	c.mu.Unlock()
-}
-
-// diskStore returns the attached persistent tier, or nil.
-func (c *resultCache) diskStore() *diskcache.Store {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.disk
-}
-
 // diskKey renders a cache key as the disk store's content address.  The
 // record kind ("run" or "met") is part of the address: both layers hash
 // the same configuration to the same bytes, but their records differ.
@@ -405,78 +230,19 @@ func diskKey(k cacheKey, kind string) string {
 	return hex.EncodeToString(k[:]) + "-" + kind
 }
 
-// getRunDisk revives a full result from the disk tier.  All failures —
-// no tier, absent record, IO error, corrupt record — degrade to a miss;
-// the disk can slow a cold start down, never break a request.
-func (c *resultCache) getRunDisk(k cacheKey) (*Result, bool) {
-	store := c.diskStore()
-	if store == nil {
-		return nil, false
+// The disk record formats of the Machine's two cache layers.
+var (
+	runCodec = &memoCodec[cacheKey, *Result]{
+		name:   func(k cacheKey) string { return diskKey(k, "run") },
+		encode: encodeResult,
+		decode: decodeResult,
 	}
-	data, ok, err := store.Get(diskKey(k, "run"))
-	if err != nil || !ok {
-		return nil, false
+	metCodec = &memoCodec[cacheKey, sweep.Metrics]{
+		name:   func(k cacheKey) string { return diskKey(k, "met") },
+		encode: func(met sweep.Metrics) ([]byte, bool) { return encodeMetrics(met), true },
+		decode: decodeMetrics,
 	}
-	res, err := decodeResult(data)
-	if err != nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	c.diskHits++
-	c.mu.Unlock()
-	return res, true
-}
-
-// putRunDisk persists a full result, best-effort.
-func (c *resultCache) putRunDisk(k cacheKey, res *Result) {
-	store := c.diskStore()
-	if store == nil {
-		return
-	}
-	data, ok := encodeResult(res)
-	if !ok {
-		return
-	}
-	if store.Put(diskKey(k, "run"), data) == nil {
-		c.mu.Lock()
-		c.diskWrites++
-		c.mu.Unlock()
-	}
-}
-
-// getMetricsDisk revives a sweep-point metrics record from the disk
-// tier, with the same degrade-to-miss failure handling as getRunDisk.
-func (c *resultCache) getMetricsDisk(k cacheKey) (sweep.Metrics, bool) {
-	store := c.diskStore()
-	if store == nil {
-		return sweep.Metrics{}, false
-	}
-	data, ok, err := store.Get(diskKey(k, "met"))
-	if err != nil || !ok {
-		return sweep.Metrics{}, false
-	}
-	met, err := decodeMetrics(data)
-	if err != nil {
-		return sweep.Metrics{}, false
-	}
-	c.mu.Lock()
-	c.diskHits++
-	c.mu.Unlock()
-	return met, true
-}
-
-// putMetricsDisk persists a sweep-point metrics record, best-effort.
-func (c *resultCache) putMetricsDisk(k cacheKey, met sweep.Metrics) {
-	store := c.diskStore()
-	if store == nil {
-		return
-	}
-	if store.Put(diskKey(k, "met"), encodeMetrics(met)) == nil {
-		c.mu.Lock()
-		c.diskWrites++
-		c.mu.Unlock()
-	}
-}
+)
 
 // clone returns an independent copy of the result: the per-rank slice is
 // fresh so callers may mutate theirs, while the immutable finished trace

@@ -9,108 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/sweep"
 )
-
-// TestKeyRingFIFO pins the ring's queue discipline and its growth
-// contract (geometric, reusable slots).
-func TestKeyRingFIFO(t *testing.T) {
-	var r keyRing
-	for i := 0; i < 100; i++ {
-		r.push(cacheKey{byte(i)})
-	}
-	if r.len() != 100 {
-		t.Fatalf("len = %d, want 100", r.len())
-	}
-	for i := 0; i < 100; i++ {
-		if k := r.pop(); k != (cacheKey{byte(i)}) {
-			t.Fatalf("pop %d returned key %v, not FIFO", i, k[0])
-		}
-	}
-	if r.len() != 0 {
-		t.Errorf("drained ring has len %d", r.len())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("pop from empty ring did not panic")
-		}
-	}()
-	r.pop()
-}
-
-// TestRunCacheEvictionBounded is the regression test for the FIFO
-// eviction leak: the old implementation re-sliced its order queue
-// (order = order[1:]), so every evicted key's slot stayed reachable
-// from the backing array and a long-running server's queue grew without
-// bound.  The ring must stay within one doubling of the cap no matter
-// how many entries pass through.
-func TestRunCacheEvictionBounded(t *testing.T) {
-	c := newResultCache()
-	c.runCap = 8
-	c.metCap = 8
-	for i := 0; i < 10_000; i++ {
-		var k cacheKey
-		k[0], k[1], k[2] = byte(i), byte(i>>8), byte(i>>16)
-		c.putRun(k, &Result{Cycles: int64(i)})
-		c.putMetrics(k, sweep.Metrics{Cycles: int64(i)})
-	}
-	if got := len(c.runs); got != 8 {
-		t.Errorf("run layer holds %d entries, cap 8", got)
-	}
-	if got := len(c.mets); got != 8 {
-		t.Errorf("metrics layer holds %d entries, cap 8", got)
-	}
-	if got := len(c.runOrder.buf); got > 16 {
-		t.Errorf("run eviction queue backing array grew to %d slots for cap 8", got)
-	}
-	if got := len(c.metOrder.buf); got > 16 {
-		t.Errorf("metrics eviction queue backing array grew to %d slots for cap 8", got)
-	}
-	// FIFO: the survivors are exactly the 8 newest keys.
-	for i := 10_000 - 8; i < 10_000; i++ {
-		var k cacheKey
-		k[0], k[1], k[2] = byte(i), byte(i>>8), byte(i>>16)
-		if _, ok := c.runs[k]; !ok {
-			t.Errorf("recent key %d evicted before older ones", i)
-		}
-	}
-}
-
-// TestResultCacheConcurrent hammers one cache from many goroutines with
-// overlapping keys under tiny caps — the invariants (entry counts at or
-// below cap, hit+miss bookkeeping) must hold and the race detector must
-// stay quiet.
-func TestResultCacheConcurrent(t *testing.T) {
-	c := newResultCache()
-	c.runCap = 4
-	c.metCap = 4
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				var k cacheKey
-				k[0] = byte((g + i) % 16)
-				if _, ok := c.getRun(k); !ok {
-					c.putRun(k, &Result{Cycles: int64(i)})
-				}
-				if i%100 == 0 && g == 0 {
-					c.clear()
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	st := c.stats()
-	if st.Results > 4 || st.Metrics > 4 {
-		t.Errorf("caps violated: %+v", st)
-	}
-	if st.Hits+st.Misses != 8*500 {
-		t.Errorf("hits %d + misses %d != %d lookups", st.Hits, st.Misses, 8*500)
-	}
-}
 
 // bindCountingPolicy counts how many simulations actually bind it —
 // Bind runs exactly once per real simulator execution, never for cache
@@ -404,33 +303,5 @@ func TestDecodeResultRejectsGarbage(t *testing.T) {
 	}
 	if _, err := decodeMetrics([]byte(`[`)); err == nil {
 		t.Error("bad metrics JSON decoded")
-	}
-}
-
-// TestFlightGroupPublishOnce pins the flight protocol: one leader per
-// key, followers share the published value, forget makes the key fresh.
-func TestFlightGroupPublishOnce(t *testing.T) {
-	var g flightGroup[int]
-	k := cacheKey{1}
-	f, leader := g.join(k)
-	if !leader {
-		t.Fatal("first join was not the leader")
-	}
-	f2, leader2 := g.join(k)
-	if leader2 || f2 != f {
-		t.Fatal("second join did not follow the leader's flight")
-	}
-	done := make(chan int)
-	go func() {
-		<-f2.done
-		done <- f2.val
-	}()
-	g.forget(k)
-	f.publish(42, nil)
-	if got := <-done; got != 42 {
-		t.Fatalf("follower saw %d, want 42", got)
-	}
-	if _, leader3 := g.join(k); !leader3 {
-		t.Fatal("join after forget did not start a fresh flight")
 	}
 }

@@ -34,8 +34,12 @@ import (
 // The package-level Run, Sweep and OptimizePlacement free functions are
 // deprecated thin wrappers over a shared default Machine.
 type Machine struct {
-	opts  Options
-	cache *resultCache
+	opts Options
+	// runs memoizes full Results (traces included) for Run, mets the
+	// lightweight metrics of the many points a sweep evaluates; both key
+	// on the same canonical hash and share the disk tier.
+	runs memo[cacheKey, *Result]
+	mets memo[cacheKey, sweep.Metrics]
 }
 
 // NewMachine builds a Machine from the simulation options (nil means the
@@ -59,7 +63,11 @@ func NewMachine(opts *Options) (*Machine, error) {
 	if _, err := o.resolvePolicy(); err != nil {
 		return nil, err
 	}
-	return &Machine{opts: o, cache: newResultCache()}, nil
+	return &Machine{
+		opts: o,
+		runs: memo[cacheKey, *Result]{limit: defaultRunCacheCap, codec: runCodec, clone: (*Result).clone},
+		mets: memo[cacheKey, sweep.Metrics]{limit: defaultMetricCacheCap, codec: metCodec},
+	}, nil
 }
 
 // defaultMachine backs the deprecated package-level wrappers for calls
@@ -90,15 +98,31 @@ func (m *Machine) Topology() Topology { return m.opts.Topology }
 // Options returns a copy of the machine's simulation options.
 func (m *Machine) Options() Options { return m.opts }
 
-// CacheStats returns the machine's result-cache counters.
-func (m *Machine) CacheStats() CacheStats { return m.cache.stats() }
+// CacheStats returns the machine's result-cache counters, summed over
+// its full-result and sweep-point layers.  Each lookup counts once, by
+// how it was finally answered, so Misses − Coalesced − DiskHits is
+// exactly the number of simulations run.
+func (m *Machine) CacheStats() CacheStats {
+	st, runs := m.runs.stats()
+	met, mets := m.mets.stats()
+	st.Hits += met.Hits
+	st.Misses += met.Misses
+	st.Coalesced += met.Coalesced
+	st.DiskHits += met.DiskHits
+	st.DiskWrites += met.DiskWrites
+	st.Results, st.Metrics = runs, mets
+	return st
+}
 
 // ClearCache drops every cached result and metric (the hit/miss
 // counters survive).  Long-lived services can call it to release the
 // memory held by cached traces; correctness never depends on the cache.
 // The persistent disk tier, if attached, is left untouched — dropped
 // entries are revived from it on demand.
-func (m *Machine) ClearCache() { m.cache.clear() }
+func (m *Machine) ClearCache() {
+	m.runs.clear()
+	m.mets.clear()
+}
 
 // UseDiskCache attaches a persistent, content-addressed disk tier under
 // the machine's in-memory result cache, rooted at dir: results and
@@ -118,7 +142,8 @@ func (m *Machine) UseDiskCache(dir string) error {
 	if err != nil {
 		return fmt.Errorf("smtbalance: %w", err)
 	}
-	m.cache.setDisk(store)
+	m.runs.setDisk(store)
+	m.mets.setDisk(store)
 	return nil
 }
 
@@ -154,13 +179,8 @@ func (m *Machine) RunPolicy(ctx context.Context, job Job, pl Placement, pol Poli
 }
 
 // runPolicy executes one run under an already-resolved policy.
-//
-// Cacheable runs go through the full tiering: the in-memory cache, then
-// the singleflight group (identical concurrent requests share one
-// computation), then — for the flight's leader — the disk tier, and
-// only then the simulator.  A leader's failure is published to its
-// followers, but a follower whose own context is still live retries
-// rather than inheriting the leader's cancellation.
+// Cacheable runs go through the result cache's tiers (memory,
+// singleflight, disk) before the simulator.
 func (m *Machine) runPolicy(ctx context.Context, job Job, pl Placement, pol Policy) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -168,66 +188,18 @@ func (m *Machine) runPolicy(ctx context.Context, job Job, pl Placement, pol Poli
 	if err := pl.validate(m.opts.Topology); err != nil {
 		return nil, err
 	}
-	cacheable := m.opts.OnIteration == nil && m.opts.LoadDrift == nil && policyCacheable(pol)
-	if !cacheable {
+	sim := func() (*Result, error) {
 		res, err := runSim(ctx, job, pl, &m.opts, pol)
 		if err != nil {
 			return nil, ctxErrOf(ctx, err)
 		}
 		return res, nil
 	}
+	if m.opts.OnIteration != nil || m.opts.LoadDrift != nil || !policyCacheable(pol) {
+		return sim()
+	}
 	key := placementKey(envJobKey(m.opts.Topology, m.opts, pol, job), pl.CPU, prioInts(pl.Priority))
-	for {
-		if res, ok := m.cache.getRun(key); ok {
-			return res, nil
-		}
-		f, leader := m.cache.runFlights.join(key)
-		if !leader {
-			m.cache.noteCoalesced()
-			select {
-			case <-f.done:
-				if f.err == nil {
-					return f.val.clone(), nil
-				}
-				if !errors.Is(f.err, context.Canceled) && !errors.Is(f.err, context.DeadlineExceeded) {
-					return nil, f.err // deterministic failure: re-running would fail too
-				}
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				continue // the leader was cancelled, we were not: retry
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		res, err := m.leadRun(ctx, key, job, pl, pol)
-		m.cache.runFlights.forget(key)
-		if err != nil {
-			f.publish(nil, err)
-			return nil, err
-		}
-		// Followers get a private copy: the leader's caller owns res and
-		// may mutate it, while f.val must stay immutable under their
-		// concurrent clones.
-		f.publish(res.clone(), nil)
-		return res, nil
-	}
-}
-
-// leadRun computes one cacheable run as a flight leader: disk tier
-// first, simulator second, both tiers updated on the way out.
-func (m *Machine) leadRun(ctx context.Context, key cacheKey, job Job, pl Placement, pol Policy) (*Result, error) {
-	if res, ok := m.cache.getRunDisk(key); ok {
-		m.cache.putRun(key, res)
-		return res, nil
-	}
-	res, err := runSim(ctx, job, pl, &m.opts, pol)
-	if err != nil {
-		return nil, ctxErrOf(ctx, err)
-	}
-	m.cache.putRun(key, res)
-	m.cache.putRunDisk(key, res)
-	return res, nil
+	return m.runs.Do(ctx, key, sim)
 }
 
 // prioInts converts a priority slice for hashing.
@@ -388,37 +360,11 @@ func (m *Machine) sweepAll(ctx context.Context, job Job, space Space, opts *Swee
 				prios[i] = int(p)
 			}
 			key := placementKey(bases[idx/len(points)], ipl.CPU, prios)
-			for {
-				if met, ok := m.cache.getMetrics(key); ok {
-					return met, nil
-				}
-				// Coalesce across concurrent sweeps (and matrix cells,
-				// which evaluate through this same path): identical
-				// in-flight points share one simulation.
-				f, leader := m.cache.metFlights.join(key)
-				if !leader {
-					m.cache.noteCoalesced()
-					select {
-					case <-f.done:
-						if f.err == nil {
-							return f.val, nil
-						}
-						if !errors.Is(f.err, context.Canceled) && !errors.Is(f.err, context.DeadlineExceeded) {
-							return sweep.Metrics{}, f.err
-						}
-						if err := ctx.Err(); err != nil {
-							return sweep.Metrics{}, err
-						}
-						continue
-					case <-ctx.Done():
-						return sweep.Metrics{}, ctx.Err()
-					}
-				}
-				met, err := m.leadPoint(ctx, key, pol, ijob, ipl, cfg)
-				m.cache.metFlights.forget(key)
-				f.publish(met, err)
-				return met, err
-			}
+			// Concurrent sweeps (and matrix cells, which evaluate
+			// through this same path) share each point's simulation.
+			return m.mets.Do(ctx, key, func() (sweep.Metrics, error) {
+				return m.simPoint(ctx, pol, ijob, ipl, cfg)
+			})
 		},
 	})
 	if err != nil {
@@ -456,13 +402,8 @@ func (m *Machine) sweepAll(ctx context.Context, job Job, space Space, opts *Swee
 	return out, nil
 }
 
-// leadPoint computes one sweep point as its flight's leader: disk tier
-// first, simulator second.
-func (m *Machine) leadPoint(ctx context.Context, key cacheKey, pol Policy, ijob *mpisim.Job, ipl mpisim.Placement, cfg mpisim.Config) (sweep.Metrics, error) {
-	if met, ok := m.cache.getMetricsDisk(key); ok {
-		m.cache.putMetrics(key, met)
-		return met, nil
-	}
+// simPoint simulates one sweep point under pol.
+func (m *Machine) simPoint(ctx context.Context, pol Policy, ijob *mpisim.Job, ipl mpisim.Placement, cfg mpisim.Config) (sweep.Metrics, error) {
 	if pol != nil {
 		// Attach a fresh policy instance to this run's private config
 		// copy; the hook applies the policy's actions through the
@@ -477,10 +418,7 @@ func (m *Machine) leadPoint(ctx context.Context, key cacheKey, pol Policy, ijob 
 	if err != nil {
 		return sweep.Metrics{}, err
 	}
-	met := sweep.Metrics{Cycles: r.Cycles, Seconds: r.Seconds, ImbalancePct: r.Imbalance}
-	m.cache.putMetrics(key, met)
-	m.cache.putMetricsDisk(key, met)
-	return met, nil
+	return sweep.Metrics{Cycles: r.Cycles, Seconds: r.Seconds, ImbalancePct: r.Imbalance}, nil
 }
 
 // Sweep evaluates every configuration of the space under the job and

@@ -2,7 +2,6 @@ package smtbalance
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"iter"
@@ -120,21 +119,13 @@ func csvQuote(s string) string {
 // scenario parameters or topologies must plateau, not grow without
 // bound.  Eviction only costs a re-evaluation, never correctness.
 type Matrix struct {
-	mu        sync.Mutex
-	machines  map[Topology]*Machine      //mtlint:guardedby mu
-	machOrder []Topology                 //mtlint:guardedby mu
-	cells     map[cacheKey][]MatrixEntry //mtlint:guardedby mu
-	cellOrder []cacheKey                 //mtlint:guardedby mu
-	hits      int64                      //mtlint:guardedby mu
-	misses    int64                      //mtlint:guardedby mu
-
-	// flights coalesces identical in-flight cells: two concurrent
-	// requests for the same (topology, scenario, policies) cell share
-	// one evaluation (the underlying per-point runs coalesce through
-	// the Machine cache's own singleflight as well).
-	//
-	//mtlint:unguarded flightGroup synchronizes itself; leaders publish outside mx.mu
-	flights flightGroup[[]MatrixEntry]
+	// cells memoizes finished cells by matrixCellKey: an identical
+	// concurrent request shares the one evaluation in progress (and
+	// the cell's per-point runs coalesce through the Machine's own
+	// cache as well).
+	cells memo[cacheKey, []MatrixEntry]
+	// machines holds one Machine per topology.
+	machines memo[Topology, *Machine]
 }
 
 // Engine bounds: a machine holds a full result cache (potentially tens
@@ -147,55 +138,20 @@ const (
 // NewMatrix returns an empty engine.
 func NewMatrix() *Matrix {
 	return &Matrix{
-		machines: make(map[Topology]*Machine),
-		cells:    make(map[cacheKey][]MatrixEntry),
+		cells:    memo[cacheKey, []MatrixEntry]{limit: matrixCellCap},
+		machines: memo[Topology, *Machine]{limit: matrixMachineCap},
 	}
 }
 
-// CellStats reports the engine's cell-cache counters: cells served from
-// memory, cells evaluated, and cells currently held.
+// CellStats reports the engine's cell-cache counters: cells served
+// without a fresh evaluation (from memory, or by sharing an identical
+// evaluation in flight), cells evaluated, and cells currently held.
+// Each cell lookup counts once, by how it was finally answered, so an
+// evaluation whose leader was cancelled and then retried by a waiting
+// request counts two evaluations.
 func (mx *Matrix) CellStats() (hits, misses int64, cells int) {
-	mx.mu.Lock()
-	defer mx.mu.Unlock()
-	return mx.hits, mx.misses, len(mx.cells)
-}
-
-// machine returns (building if needed) the engine's Machine for a
-// topology.
-func (mx *Matrix) machine(topo Topology) (*Machine, error) {
-	mx.mu.Lock()
-	defer mx.mu.Unlock()
-	if m, ok := mx.machines[topo]; ok {
-		return m, nil
-	}
-	m, err := NewMachine(&Options{Topology: topo})
-	if err != nil {
-		return nil, err
-	}
-	if len(mx.machines) >= matrixMachineCap {
-		evict := mx.machOrder[0]
-		mx.machOrder = mx.machOrder[1:]
-		delete(mx.machines, evict)
-	}
-	mx.machines[topo] = m
-	mx.machOrder = append(mx.machOrder, topo)
-	return m, nil
-}
-
-// putCell stores a finished cell, evicting the oldest past the cap.
-func (mx *Matrix) putCell(key cacheKey, entries []MatrixEntry) {
-	mx.mu.Lock()
-	defer mx.mu.Unlock()
-	if _, ok := mx.cells[key]; ok {
-		return
-	}
-	if len(mx.cells) >= matrixCellCap {
-		evict := mx.cellOrder[0]
-		mx.cellOrder = mx.cellOrder[1:]
-		delete(mx.cells, evict)
-	}
-	mx.cells[key] = entries
-	mx.cellOrder = append(mx.cellOrder, key)
+	st, held := mx.cells.stats()
+	return st.Hits + st.Coalesced, st.Misses - st.Coalesced, held
 }
 
 // resolveSpec validates the spec and returns the effective policy list
@@ -254,7 +210,9 @@ func resolveSpec(spec MatrixSpec) ([]Policy, []Topology, error) {
 // the scenario's job, pinned in order at medium priority, fanned
 // through the sweep worker pool, scored against the static control.
 func (mx *Matrix) evalCell(ctx context.Context, topo Topology, sc Scenario, pols []Policy, workers, screen int) ([]MatrixEntry, error) {
-	m, err := mx.machine(topo)
+	m, err := mx.machines.Do(ctx, topo, func() (*Machine, error) {
+		return NewMachine(&Options{Topology: topo})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -297,59 +255,6 @@ func (mx *Matrix) evalCell(ctx context.Context, topo Topology, sc Scenario, pols
 	return entries, nil
 }
 
-// cell returns one (topology, scenario) cell's entries through the
-// engine's tiering: the cell cache, then the singleflight group (an
-// identical concurrent request shares the one evaluation in progress —
-// counted as a hit, since no fresh evaluation ran for it), then a real
-// evaluation.  A leader's cancellation is not inherited by a live
-// follower, which retries as the new leader.
-func (mx *Matrix) cell(ctx context.Context, key cacheKey, topo Topology, sc Scenario, pols []Policy, workers, screen int) ([]MatrixEntry, error) {
-	for {
-		mx.mu.Lock()
-		entries, cached := mx.cells[key]
-		if cached {
-			mx.hits++
-		} else {
-			mx.misses++
-		}
-		mx.mu.Unlock()
-		if cached {
-			return entries, nil
-		}
-		f, leader := mx.flights.join(key)
-		if !leader {
-			select {
-			case <-f.done:
-				if f.err == nil {
-					mx.mu.Lock()
-					// The miss counted above was served without a fresh
-					// evaluation after all; reclassify it as a hit.
-					mx.misses--
-					mx.hits++
-					mx.mu.Unlock()
-					return f.val, nil
-				}
-				if !errors.Is(f.err, context.Canceled) && !errors.Is(f.err, context.DeadlineExceeded) {
-					return nil, f.err
-				}
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				continue
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		entries, err := mx.evalCell(ctx, topo, sc, pols, workers, screen)
-		if err == nil {
-			mx.putCell(key, entries)
-		}
-		mx.flights.forget(key)
-		f.publish(entries, err)
-		return entries, err
-	}
-}
-
 // Eval evaluates the matrix and streams its entries as an iterator of
 // (entry, error) pairs, in spec order (topology-major, then scenario,
 // then policy — the static control first when it was added implicitly).
@@ -379,7 +284,9 @@ func (mx *Matrix) Eval(ctx context.Context, spec MatrixSpec, opts *MatrixOptions
 		for _, topo := range topos {
 			for _, sc := range spec.Scenarios {
 				key := matrixCellKey(topo, ScenarioID(sc), polIDs)
-				entries, err := mx.cell(ctx, key, topo, sc, pols, opts.Workers, opts.Screen)
+				entries, err := mx.cells.Do(ctx, key, func() ([]MatrixEntry, error) {
+					return mx.evalCell(ctx, topo, sc, pols, opts.Workers, opts.Screen)
+				})
 				if err != nil {
 					yield(MatrixEntry{}, err)
 					return
