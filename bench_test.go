@@ -10,8 +10,6 @@
 // functions; a failed shape fails the benchmark.
 package smtbalance
 
-//lint:file-ignore SA1019 the deprecated Run/Sweep wrappers and DynamicBalance knobs are exercised on purpose: these tests pin that the old spellings stay behavior-identical to their replacements
-
 import (
 	"bytes"
 	"context"
@@ -58,7 +56,7 @@ func BenchmarkTable1PrioritySemantics(b *testing.B) {
 // per priority difference, measured on the simulator.
 func BenchmarkTable2DecodeSlots(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table2(benchOpt)
+		rows, err := experiments.Table2(b.Context(), benchOpt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,7 +73,7 @@ func BenchmarkTable2DecodeSlots(b *testing.B) {
 // regimes.
 func BenchmarkTable3SpecialModes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table3(benchOpt)
+		rows, err := experiments.Table3(b.Context(), benchOpt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,7 +88,7 @@ func BenchmarkFigure1(b *testing.B) {
 	var f *experiments.Figure1Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		f, err = experiments.Figure1(benchOpt)
+		f, err = experiments.Figure1(b.Context(), benchOpt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,7 +105,7 @@ func BenchmarkTable4MetBench(b *testing.B) {
 	var cases []experiments.CaseResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		cases, err = experiments.Table4(benchOpt)
+		cases, err = experiments.Table4(b.Context(), benchOpt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,7 +122,7 @@ func BenchmarkTable5BTMZ(b *testing.B) {
 	var cases []experiments.CaseResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		cases, err = experiments.Table5(benchOpt)
+		cases, err = experiments.Table5(b.Context(), benchOpt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +139,7 @@ func BenchmarkTable6SIESTA(b *testing.B) {
 	var cases []experiments.CaseResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		cases, err = experiments.Table6(benchOpt)
+		cases, err = experiments.Table6(b.Context(), benchOpt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,7 +184,7 @@ func BenchmarkKernelPatchAblation(b *testing.B) {
 	var r *experiments.KernelPatchResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = experiments.KernelPatchAblation(benchOpt)
+		r, err = experiments.KernelPatchAblation(b.Context(), benchOpt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,7 +202,7 @@ func BenchmarkDynamicBalancer(b *testing.B) {
 	var r *experiments.DynamicResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = experiments.DynamicExtension(benchOpt)
+		r, err = experiments.DynamicExtension(b.Context(), benchOpt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,7 +233,7 @@ func BenchmarkCacheWarmupAblation(b *testing.B) {
 			var res *Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = Run(job, PinInOrder(4), &Options{NoOSNoise: true, ColdCaches: cold})
+				res, err = testMachine(b, &Options{NoOSNoise: true, ColdCaches: cold}).Run(b.Context(), job, PinInOrder(4))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -266,7 +264,7 @@ func BenchmarkExtrinsicNoise(b *testing.B) {
 	var r *experiments.ExtrinsicResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = experiments.ExtrinsicNoise(benchOpt)
+		r, err = experiments.ExtrinsicNoise(b.Context(), benchOpt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -59,11 +59,9 @@ func (h *hasher) str(s string) {
 // directives on Options and the hashers; see docs/lint.md).
 //   - Topology: hashed (three dimensions, normalized).
 //   - VanillaKernel, NoOSNoise, ColdCaches: hashed.
-//   - Policy / DynamicBalance / MaxPriorityDiff: all three resolve to
-//     one policy value (resolvePolicy), hashed structurally — the name
-//     and every parameter key/value length-prefixed, keys sorted — so
-//     the deprecated knobs and their Policy spelling share entries,
-//     while distinct policies or parameters can never collide, even for
+//   - Policy: read through resolvePolicy and hashed structurally — the
+//     name and every parameter key/value length-prefixed, keys sorted —
+//     so distinct policies or parameters can never collide, even for
 //     custom policies whose Name/Params contain the rendered PolicyID
 //     grammar's delimiters.
 //   - MaxCycles: hashed.

@@ -66,6 +66,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -100,6 +101,7 @@ func main() {
 	)
 	flag.Parse()
 
+	ctx := context.Background()
 	opt := experiments.Options{Scale: *scale, TraceWidth: *width, Workers: *workers}
 	failed := 0
 	run := func(name string, f func() error) {
@@ -113,7 +115,7 @@ func main() {
 	}
 
 	run("table2", func() error {
-		rows, err := experiments.Table2(opt)
+		rows, err := experiments.Table2(ctx, opt)
 		if err != nil {
 			return err
 		}
@@ -124,7 +126,7 @@ func main() {
 		return nil
 	})
 	run("table3", func() error {
-		rows, err := experiments.Table3(opt)
+		rows, err := experiments.Table3(ctx, opt)
 		if err != nil {
 			return err
 		}
@@ -135,7 +137,7 @@ func main() {
 		return nil
 	})
 	run("figure1", func() error {
-		f, err := experiments.Figure1(opt)
+		f, err := experiments.Figure1(ctx, opt)
 		if err != nil {
 			return err
 		}
@@ -151,10 +153,10 @@ func main() {
 		}
 		return nil
 	})
-	caseTable := func(title, ref string, gen func(experiments.Options) ([]experiments.CaseResult, error),
+	caseTable := func(title, ref string, gen func(context.Context, experiments.Options) ([]experiments.CaseResult, error),
 		chk func([]experiments.CaseResult) error) func() error {
 		return func() error {
-			cases, err := gen(opt)
+			cases, err := gen(ctx, opt)
 			if err != nil {
 				return err
 			}
@@ -175,7 +177,7 @@ func main() {
 	run("table5", caseTable("Table V — BT-MZ (Figure 3)", "A", experiments.Table5, experiments.CheckTable5))
 	run("table6", caseTable("Table VI — SIESTA (Figure 4)", "A", experiments.Table6, experiments.CheckTable6))
 	run("kernelpatch", func() error {
-		r, err := experiments.KernelPatchAblation(opt)
+		r, err := experiments.KernelPatchAblation(ctx, opt)
 		if err != nil {
 			return err
 		}
@@ -190,7 +192,7 @@ func main() {
 		return nil
 	})
 	run("extrinsic", func() error {
-		r, err := experiments.ExtrinsicNoise(opt)
+		r, err := experiments.ExtrinsicNoise(ctx, opt)
 		if err != nil {
 			return err
 		}
@@ -207,7 +209,7 @@ func main() {
 		return nil
 	})
 	run("scaling", func() error {
-		rows, err := experiments.Scaling(opt)
+		rows, err := experiments.Scaling(ctx, opt)
 		if err != nil {
 			return err
 		}
@@ -218,7 +220,7 @@ func main() {
 		return nil
 	})
 	run("dynamic", func() error {
-		r, err := experiments.DynamicExtension(opt)
+		r, err := experiments.DynamicExtension(ctx, opt)
 		if err != nil {
 			return err
 		}

@@ -1,8 +1,7 @@
 package smtbalance_test
 
-//lint:file-ignore SA1019 the deprecated Run/Sweep wrappers and DynamicBalance knobs are exercised on purpose: these tests pin that the old spellings stay behavior-identical to their replacements
-
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,25 +37,29 @@ func ExampleUserSettable() {
 
 // Balancing an imbalanced job: favoring the heavy rank of each core
 // shortens the run and shrinks the imbalance metric.
-func ExampleRun() {
+func ExampleMachine_Run() {
 	job := smtbalance.Job{Name: "demo", Ranks: [][]smtbalance.Phase{
 		{smtbalance.Compute("fpu", 20_000), smtbalance.Barrier()},
 		{smtbalance.Compute("fpu", 90_000), smtbalance.Barrier()},
 		{smtbalance.Compute("fpu", 20_000), smtbalance.Barrier()},
 		{smtbalance.Compute("fpu", 90_000), smtbalance.Barrier()},
 	}}
-	opts := &smtbalance.Options{NoOSNoise: true}
-	base, err := smtbalance.Run(job, smtbalance.PinInOrder(4), opts)
+	ctx := context.Background()
+	m, err := smtbalance.NewMachine(&smtbalance.Options{NoOSNoise: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tuned, err := smtbalance.Run(job, smtbalance.Placement{
+	base, err := m.Run(ctx, job, smtbalance.PinInOrder(4))
+	if err != nil {
+		log.Fatal(err)
+	}
+	tuned, err := m.Run(ctx, job, smtbalance.Placement{
 		CPU: []int{0, 1, 2, 3},
 		Priority: []smtbalance.Priority{
 			smtbalance.PriorityMedium, smtbalance.PriorityHigh,
 			smtbalance.PriorityMedium, smtbalance.PriorityHigh,
 		},
-	}, opts)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,8 +72,8 @@ func ExampleRun() {
 
 // The static planner pairs heavy with light ranks and picks priorities
 // from the decode-share model — the paper's hand procedure, automated.
-func ExampleSuggestPlacement() {
-	pl, err := smtbalance.SuggestPlacement([]float64{18, 24, 67, 100})
+func ExampleTopology_SuggestPlacement() {
+	pl, err := smtbalance.DefaultTopology().SuggestPlacement([]float64{18, 24, 67, 100})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,9 +43,14 @@ func job() smtbalance.Job {
 }
 
 func main() {
+	ctx := context.Background()
 	j := job()
+	m, err := smtbalance.NewMachine(nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	naive, err := smtbalance.Run(j, smtbalance.PinInOrder(4), nil)
+	naive, err := m.Run(ctx, j, smtbalance.PinInOrder(4))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +63,7 @@ func main() {
 	for i, z := range zoneWeights {
 		works[i] = z * unitLoad
 	}
-	plan, err := smtbalance.SuggestPlacement(works)
+	plan, err := m.Topology().SuggestPlacement(works)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +73,7 @@ func main() {
 	}
 	fmt.Println()
 
-	planned, err := smtbalance.Run(j, plan, nil)
+	planned, err := m.Run(ctx, j, plan)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,10 +42,15 @@ func job() smtbalance.Job {
 }
 
 func main() {
+	ctx := context.Background()
 	j := job()
 	pl := smtbalance.PinInOrder(2) // both ranks on core 0
 
-	base, err := smtbalance.Run(j, pl, nil)
+	m, err := smtbalance.NewMachine(nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	base, err := m.Run(ctx, j, pl)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,9 +58,8 @@ func main() {
 		base.Seconds*1e6, base.ImbalancePct)
 
 	fmt.Println("iter  comp(P1)  comp(P2)  heavier")
-	dyn, err := smtbalance.Run(j, pl, &smtbalance.Options{
-		DynamicBalance:  true,
-		MaxPriorityDiff: 1,
+	dm, err := smtbalance.NewMachine(&smtbalance.Options{
+		Policy: &smtbalance.PaperDynamic{MaxDiff: 1},
 		OnIteration: func(it smtbalance.IterationStats) {
 			heavier := "P1"
 			if it.ComputeCycles[1] > it.ComputeCycles[0] {
@@ -64,6 +69,10 @@ func main() {
 				it.Index, it.ComputeCycles[0], it.ComputeCycles[1], heavier)
 		},
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	dyn, err := dm.Run(ctx, j, pl)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,13 +46,18 @@ func main() {
 		{"C (heavy 6, light 4)", []smtbalance.Priority{4, 6, 4, 6}},
 		{"D (heavy 6, light 3 — too far)", []smtbalance.Priority{3, 6, 3, 6}},
 	}
+	ctx := context.Background()
+	m, err := smtbalance.NewMachine(nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	j := job()
 	var baseline float64
 	for _, c := range cases {
-		res, err := smtbalance.Run(j, smtbalance.Placement{
+		res, err := m.Run(ctx, j, smtbalance.Placement{
 			CPU:      []int{0, 1, 2, 3},
 			Priority: c.prio,
-		}, nil)
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

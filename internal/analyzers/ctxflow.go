@@ -16,18 +16,15 @@ import (
 //     parameter (the convention every caller and wrapper relies on);
 //  2. context.Background()/context.TODO() are banned — they silently
 //     sever the cancellation chain.  The nil-guard idiom
-//     (`if ctx == nil { ctx = context.Background() }`) is recognized
-//     automatically; any other root must be annotated
-//     `//mtlint:ctx-root <why>` on the function (the deprecated
-//     ctx-less wrappers are the intended users);
+//     (`if ctx == nil { ctx = context.Background() }`) is the one
+//     recognized exception; cancellation roots belong in package main;
 //  3. passing a literal nil where a callee expects a context is
-//     banned — use the caller's ctx, or a documented root.
+//     banned — use the caller's ctx.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc: "library code must thread context.Context as the first " +
 		"parameter and never sever cancellation with context.Background/" +
-		"TODO or a nil context (annotate deliberate roots with " +
-		"//mtlint:ctx-root <why>)",
+		"TODO or a nil context (roots belong in package main)",
 	Run: runCtxFlow,
 }
 
@@ -83,13 +80,6 @@ func checkCtxFirst(pass *Pass, fd *ast.FuncDecl) {
 
 // checkCtxCalls enforces rules 2 and 3 inside one function body.
 func checkCtxCalls(pass *Pass, fd *ast.FuncDecl) {
-	rootWhy, isRoot := directive(fd.Doc, "ctx-root")
-	if isRoot && rootWhy == "" {
-		// The missing reason is the actionable finding; isRoot stays
-		// set so the Background call below doesn't cascade a second
-		// diagnostic.
-		pass.Reportf(fd.Pos(), "//mtlint:ctx-root needs a reason (why may this function sever the cancellation chain?)")
-	}
 	nilGuarded := nilGuardCalls(fd.Body)
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -100,9 +90,9 @@ func checkCtxCalls(pass *Pass, fd *ast.FuncDecl) {
 		// Rule 2: context.Background()/TODO().
 		if fn := calleeFunc(pass, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "context" {
 			if name := fn.Name(); name == "Background" || name == "TODO" {
-				if !isRoot && !nilGuarded[call] {
+				if !nilGuarded[call] {
 					pass.Reportf(call.Pos(), "context.%s in library code severs the cancellation chain; "+
-						"thread the caller's ctx, or annotate the function //mtlint:ctx-root <why> if it is a deliberate root", name)
+						"thread the caller's ctx (cancellation roots belong in package main)", name)
 				}
 			}
 		}

@@ -1,6 +1,6 @@
 // Package ctxflowtest is the ctxflow analyzer's fixture: context
-// parameter placement, severed cancellation chains, and the two
-// recognized escapes (the nil-guard idiom and //mtlint:ctx-root).
+// parameter placement, severed cancellation chains, and the one
+// recognized escape (the nil-guard idiom).
 package ctxflowtest
 
 import "context"
@@ -26,19 +26,6 @@ func severed(ctx context.Context, n int) error {
 
 func todoRoot(n int) error {
 	return sink(context.TODO(), n) // want `context\.TODO in library code severs the cancellation chain`
-}
-
-// legacy is the deprecated ctx-less wrapper shape the directive exists
-// for.
-//
-//mtlint:ctx-root deprecated ctx-less wrapper kept for API compatibility
-func legacy(n int) error {
-	return sink(context.Background(), n)
-}
-
-//mtlint:ctx-root
-func badRoot(n int) error { // want `//mtlint:ctx-root needs a reason`
-	return sink(context.Background(), n)
 }
 
 func guarded(ctx context.Context, n int) error {

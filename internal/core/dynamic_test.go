@@ -81,7 +81,7 @@ func TestDynamicConvergesOnSteadyImbalance(t *testing.T) {
 	bal := NewDynamic(DynamicConfig{CPU: pl.CPU})
 	cfg := quietCfg()
 	cfg.OnIteration = bal.OnIteration
-	res, err := mpisim.Run(job, pl, cfg)
+	res, err := mpisim.RunCtx(t.Context(), job, pl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestDynamicConvergesOnSteadyImbalance(t *testing.T) {
 		}
 	}
 	// And it must beat the unbalanced run.
-	base, err := mpisim.Run(job, pl, quietCfg())
+	base, err := mpisim.RunCtx(t.Context(), job, pl, quietCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestDynamicTracksShiftingBottleneck(t *testing.T) {
 		bal.OnIteration(ev)
 		diffTrail = append(diffTrail, bal.Diffs()[0])
 	}
-	dyn, err := mpisim.Run(job, pl, cfg)
+	dyn, err := mpisim.RunCtx(t.Context(), job, pl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestDynamicTracksShiftingBottleneck(t *testing.T) {
 	// A static assignment favoring rank 0 permanently must lose to the
 	// dynamic balancer on this workload.
 	static := mpisim.Placement{CPU: pl.CPU, Prio: []hwpri.Priority{6, 4, 6, 4}}
-	stat, err := mpisim.Run(job, static, quietCfg())
+	stat, err := mpisim.RunCtx(t.Context(), job, static, quietCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestDynamicStaysPutWhenBalanced(t *testing.T) {
 	bal := NewDynamic(DynamicConfig{CPU: pl.CPU})
 	cfg := quietCfg()
 	cfg.OnIteration = bal.OnIteration
-	if _, err := mpisim.Run(job, pl, cfg); err != nil {
+	if _, err := mpisim.RunCtx(t.Context(), job, pl, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if bal.Moves != 0 {
@@ -174,7 +174,7 @@ func TestDynamicRespectsMaxDiff(t *testing.T) {
 	bal := NewDynamic(DynamicConfig{CPU: pl.CPU, MaxDiff: 2})
 	cfg := quietCfg()
 	cfg.OnIteration = bal.OnIteration
-	if _, err := mpisim.Run(job, pl, cfg); err != nil {
+	if _, err := mpisim.RunCtx(t.Context(), job, pl, cfg); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range bal.Diffs() {
@@ -194,7 +194,7 @@ func TestDynamicInertOnVanillaKernel(t *testing.T) {
 	cfg := quietCfg()
 	cfg.Kernel = oskernel.Config{Patched: false}
 	cfg.OnIteration = bal.OnIteration
-	if _, err := mpisim.Run(job, pl, cfg); err != nil {
+	if _, err := mpisim.RunCtx(t.Context(), job, pl, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if bal.Moves != 0 {

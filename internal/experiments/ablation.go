@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/apps/metbench"
@@ -9,7 +10,6 @@ import (
 	"repro/internal/mpisim"
 	"repro/internal/oskernel"
 	"repro/internal/power5"
-	"repro/internal/sweep"
 )
 
 // KernelPatchResult compares the balanced MetBench case C on the patched
@@ -24,7 +24,7 @@ type KernelPatchResult struct {
 }
 
 // KernelPatchAblation runs the ablation.
-func KernelPatchAblation(opt Options) (*KernelPatchResult, error) {
+func KernelPatchAblation(ctx context.Context, opt Options) (*KernelPatchResult, error) {
 	opt = opt.normalize()
 	cfg := metbench.DefaultConfig()
 	cfg.HeavyLoad = scaleLoad(cfg.HeavyLoad, opt.Scale)
@@ -37,21 +37,20 @@ func KernelPatchAblation(opt Options) (*KernelPatchResult, error) {
 	run := func(patched bool) (*mpisim.Result, error) {
 		k := oskernel.DefaultConfig()
 		k.Patched = patched
-		return mpisim.Run(job, pl, mpisim.Config{
+		return mpisim.RunCtx(ctx, job, pl, mpisim.Config{
 			Chip:      power5.DefaultConfig(),
 			Kernel:    k,
 			KernelSet: true,
 		})
 	}
 	// The two kernel variants are independent runs: fan them out.
-	outs := sweep.Map(2, opt.Workers, func(i int) outcome[*mpisim.Result] {
-		r, err := run(i == 0)
-		return outcome[*mpisim.Result]{r, err}
+	outs, err := runAll(ctx, 2, opt.Workers, func(i int) (*mpisim.Result, error) {
+		return run(i == 0)
 	})
-	if err := firstErr(outs); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	p, v := outs[0].val, outs[1].val
+	p, v := outs[0], outs[1]
 	return &KernelPatchResult{
 		PatchedSeconds:   p.Seconds,
 		VanillaSeconds:   v.Seconds,
@@ -91,7 +90,7 @@ type DynamicResult struct {
 }
 
 // DynamicExtension runs the comparison.
-func DynamicExtension(opt Options) (*DynamicResult, error) {
+func DynamicExtension(ctx context.Context, opt Options) (*DynamicResult, error) {
 	opt = opt.normalize()
 	cfg := siesta.DefaultConfig()
 	// More iterations, with the bottleneck persisting for several SCF
@@ -110,22 +109,20 @@ func DynamicExtension(opt Options) (*DynamicResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return mpisim.Run(job, pl, mpisim.Config{})
+		return mpisim.RunCtx(ctx, job, pl, mpisim.Config{})
 	}
 	// The two static references are independent of each other and of
 	// the dynamic run below; overlap them.
-	statics := sweep.Map(2, opt.Workers, func(i int) outcome[*mpisim.Result] {
-		c := siesta.CaseA
+	statics, err := runAll(ctx, 2, opt.Workers, func(i int) (*mpisim.Result, error) {
 		if i == 1 {
-			c = siesta.CaseC
+			return runStatic(siesta.CaseC)
 		}
-		r, err := runStatic(c)
-		return outcome[*mpisim.Result]{r, err}
+		return runStatic(siesta.CaseA)
 	})
-	if err := firstErr(statics); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	ref, static := statics[0].val, statics[1].val
+	ref, static := statics[0], statics[1]
 
 	plC, err := siesta.Placement(siesta.CaseC)
 	if err != nil {
@@ -140,7 +137,7 @@ func DynamicExtension(opt Options) (*DynamicResult, error) {
 	// from toggling on noise.
 	pl := mpisim.Placement{CPU: plC.CPU, Prio: mpisim.DefaultPlacement(4).Prio}
 	bal := core.NewDynamic(core.DynamicConfig{CPU: pl.CPU, MaxDiff: 1, Threshold: 0.09})
-	dyn, err := mpisim.Run(job, pl, mpisim.Config{OnIteration: bal.OnIteration})
+	dyn, err := mpisim.RunCtx(ctx, job, pl, mpisim.Config{OnIteration: bal.OnIteration})
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -90,13 +91,13 @@ type CaseResult struct {
 
 // runCase executes a job under a placement with the standard experiment
 // environment (patched kernel with timer ticks) and packages the result.
-func runCase(job *mpisim.Job, pl mpisim.Placement, opt Options, label string, procs []string) (CaseResult, error) {
+func runCase(ctx context.Context, job *mpisim.Job, pl mpisim.Placement, opt Options, label string, procs []string) (CaseResult, error) {
 	cfg := mpisim.Config{
 		Chip:      power5.DefaultConfig(),
 		Kernel:    oskernel.DefaultConfig(),
 		KernelSet: true,
 	}
-	res, err := mpisim.Run(job, pl, cfg)
+	res, err := mpisim.RunCtx(ctx, job, pl, cfg)
 	if err != nil {
 		return CaseResult{}, fmt.Errorf("experiments: case %s: %w", label, err)
 	}
@@ -132,39 +133,38 @@ type caseSpec struct {
 	procs []string
 }
 
-// outcome carries one pooled run of any result type; firstErr surfaces
-// the lowest-index failure, matching the error the serial loop would
-// have returned.
-type outcome[T any] struct {
-	val T
-	err error
-}
-
-func firstErr[T any](outs []outcome[T]) error {
-	for _, o := range outs {
-		if o.err != nil {
-			return o.err
-		}
+// runAll runs fn over [0, n) through the shared worker pool and returns
+// the values in index order, or the lowest-index failure — the error the
+// serial loop would have returned.  The output is independent of the
+// worker count, so parallel and serial experiment runs render
+// byte-identical tables.
+func runAll[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
+	type outcome struct {
+		val T
+		err error
 	}
-	return nil
+	outs, err := sweep.Map(ctx, n, workers, func(i int) outcome {
+		v, err := fn(i)
+		return outcome{v, err}
+	})
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]T, n)
+	for i, o := range outs {
+		if o.err != nil {
+			return nil, o.err
+		}
+		vals[i] = o.val
+	}
+	return vals, nil
 }
 
 // runCases executes independent cases through the shared worker pool.
-// The output preserves spec order whatever the concurrency, so parallel
-// and serial experiment runs render byte-identical tables.
-func runCases(specs []caseSpec, opt Options) ([]CaseResult, error) {
-	outs := sweep.Map(len(specs), opt.Workers, func(i int) outcome[CaseResult] {
-		cr, err := runCase(specs[i].job, specs[i].pl, opt, specs[i].label, specs[i].procs)
-		return outcome[CaseResult]{cr, err}
+func runCases(ctx context.Context, specs []caseSpec, opt Options) ([]CaseResult, error) {
+	return runAll(ctx, len(specs), opt.Workers, func(i int) (CaseResult, error) {
+		return runCase(ctx, specs[i].job, specs[i].pl, opt, specs[i].label, specs[i].procs)
 	})
-	if err := firstErr(outs); err != nil {
-		return nil, err
-	}
-	cases := make([]CaseResult, 0, len(outs))
-	for _, o := range outs {
-		cases = append(cases, o.val)
-	}
-	return cases, nil
 }
 
 // FormatCases renders experiment case rows as a paper-style table.

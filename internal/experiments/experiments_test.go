@@ -19,11 +19,11 @@ func TestParallelCasesMatchSerial(t *testing.T) {
 	serialOpt.Workers = 1
 	parallelOpt.Workers = 4
 
-	serial, err := Table4(serialOpt)
+	serial, err := Table4(t.Context(), serialOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Table4(parallelOpt)
+	parallel, err := Table4(t.Context(), parallelOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +32,11 @@ func TestParallelCasesMatchSerial(t *testing.T) {
 			FormatCases("serial", serial), FormatCases("parallel", parallel))
 	}
 
-	srows, err := Table2(serialOpt)
+	srows, err := Table2(t.Context(), serialOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prows, err := Table2(parallelOpt)
+	prows, err := Table2(t.Context(), parallelOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestParallelCasesMatchSerial(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
-	rows, err := Table2(testOpt)
+	rows, err := Table2(t.Context(), testOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestTable3(t *testing.T) {
-	rows, err := Table3(testOpt)
+	rows, err := Table3(t.Context(), testOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestTable3(t *testing.T) {
 }
 
 func TestFigure1(t *testing.T) {
-	f, err := Figure1(testOpt)
+	f, err := Figure1(t.Context(), testOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestFigure1(t *testing.T) {
 }
 
 func TestTable4(t *testing.T) {
-	cases, err := Table4(testOpt)
+	cases, err := Table4(t.Context(), testOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestTable4(t *testing.T) {
 }
 
 func TestTable5(t *testing.T) {
-	cases, err := Table5(testOpt)
+	cases, err := Table5(t.Context(), testOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestTable5(t *testing.T) {
 }
 
 func TestTable6(t *testing.T) {
-	cases, err := Table6(testOpt)
+	cases, err := Table6(t.Context(), testOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestTable6(t *testing.T) {
 }
 
 func TestKernelPatchAblation(t *testing.T) {
-	r, err := KernelPatchAblation(testOpt)
+	r, err := KernelPatchAblation(t.Context(), testOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestKernelPatchAblation(t *testing.T) {
 }
 
 func TestDynamicExtension(t *testing.T) {
-	r, err := DynamicExtension(testOpt)
+	r, err := DynamicExtension(t.Context(), testOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestFindCaseMissing(t *testing.T) {
 }
 
 func TestExtrinsicNoise(t *testing.T) {
-	r, err := ExtrinsicNoise(testOpt)
+	r, err := ExtrinsicNoise(t.Context(), testOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestExtrinsicNoise(t *testing.T) {
 }
 
 func TestScaling(t *testing.T) {
-	rows, err := Scaling(testOpt)
+	rows, err := Scaling(t.Context(), testOpt)
 	if err != nil {
 		t.Fatal(err)
 	}

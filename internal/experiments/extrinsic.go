@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/hwpri"
 	"repro/internal/mpisim"
 	"repro/internal/oskernel"
 	"repro/internal/power5"
-	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -31,7 +31,7 @@ type ExtrinsicResult struct {
 // ExtrinsicNoise runs the experiment: four identical ranks, a statistics
 // daemon bound to CPU 0 (the "user daemons" source of Section II-B),
 // and the priority compensation.
-func ExtrinsicNoise(opt Options) (*ExtrinsicResult, error) {
+func ExtrinsicNoise(ctx context.Context, opt Options) (*ExtrinsicResult, error) {
 	opt = opt.normalize()
 	// The ranks run the irregular-code kernel: compensating extrinsic
 	// noise with a one-step priority difference only pays off when the
@@ -54,7 +54,7 @@ func ExtrinsicNoise(opt Options) (*ExtrinsicResult, error) {
 		if withDaemon {
 			k.Daemons = []oskernel.Daemon{daemon}
 		}
-		return mpisim.Run(job, pl, mpisim.Config{
+		return mpisim.RunCtx(ctx, job, pl, mpisim.Config{
 			Chip:      power5.DefaultConfig(),
 			Kernel:    k,
 			KernelSet: true,
@@ -65,23 +65,20 @@ func ExtrinsicNoise(opt Options) (*ExtrinsicResult, error) {
 		CPU:  []int{0, 1, 2, 3},
 		Prio: []hwpri.Priority{5, 4, 4, 4}, // favor the daemon's victim
 	}
-	outs := sweep.Map(3, opt.Workers, func(i int) outcome[*mpisim.Result] {
+	outs, err := runAll(ctx, 3, opt.Workers, func(i int) (*mpisim.Result, error) {
 		switch i {
 		case 0:
-			r, err := run(false, mpisim.DefaultPlacement(4))
-			return outcome[*mpisim.Result]{r, err}
+			return run(false, mpisim.DefaultPlacement(4))
 		case 1:
-			r, err := run(true, mpisim.DefaultPlacement(4))
-			return outcome[*mpisim.Result]{r, err}
+			return run(true, mpisim.DefaultPlacement(4))
 		default:
-			r, err := run(true, compensated)
-			return outcome[*mpisim.Result]{r, err}
+			return run(true, compensated)
 		}
 	})
-	if err := firstErr(outs); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	clean, noisy, comp := outs[0].val, outs[1].val, outs[2].val
+	clean, noisy, comp := outs[0], outs[1], outs[2]
 	return &ExtrinsicResult{
 		CleanSeconds: clean.Seconds, CleanImbalance: clean.Imbalance,
 		NoisySeconds: noisy.Seconds, NoisyImbalance: noisy.Imbalance,

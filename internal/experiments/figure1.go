@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/hwpri"
@@ -23,7 +24,7 @@ type Figure1Result struct {
 // panel (b) P1 receives more hardware resources (priority 6 vs its core
 // sibling's 4): P1 speeds up, P2 slows down but has spare time, and the
 // whole application finishes sooner.
-func Figure1(opt Options) (*Figure1Result, error) {
+func Figure1(ctx context.Context, opt Options) (*Figure1Result, error) {
 	opt = opt.normalize()
 	heavy := scaleLoad(200_000, opt.Scale)
 	light := scaleLoad(90_000, opt.Scale)
@@ -39,7 +40,7 @@ func Figure1(opt Options) (*Figure1Result, error) {
 		})
 	}
 	run := func(pl mpisim.Placement) (*mpisim.Result, error) {
-		return mpisim.Run(job, pl, mpisim.Config{})
+		return mpisim.RunCtx(ctx, job, pl, mpisim.Config{})
 	}
 	base, err := run(mpisim.DefaultPlacement(4))
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -24,10 +25,10 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 var goldenOpt = Options{Scale: 0.5, TraceWidth: 60, Workers: 1}
 
 // goldenArtifacts renders every snapshotted experiment.
-func goldenArtifacts() (map[string]string, error) {
+func goldenArtifacts(ctx context.Context) (map[string]string, error) {
 	out := make(map[string]string)
 
-	t2, err := Table2(goldenOpt)
+	t2, err := Table2(ctx, goldenOpt)
 	if err != nil {
 		return nil, err
 	}
@@ -35,13 +36,13 @@ func goldenArtifacts() (map[string]string, error) {
 
 	for _, tbl := range []struct {
 		name, title string
-		gen         func(Options) ([]CaseResult, error)
+		gen         func(context.Context, Options) ([]CaseResult, error)
 	}{
 		{"table4", "Table IV — MetBench (Figure 2)", Table4},
 		{"table5", "Table V — BT-MZ (Figure 3)", Table5},
 		{"table6", "Table VI — SIESTA (Figure 4)", Table6},
 	} {
-		cases, err := tbl.gen(goldenOpt)
+		cases, err := tbl.gen(ctx, goldenOpt)
 		if err != nil {
 			return nil, err
 		}
@@ -49,7 +50,7 @@ func goldenArtifacts() (map[string]string, error) {
 		out[tbl.name] = FormatCases(tbl.title, cases) + "\n" + FormatSpeedups(cases, ref)
 	}
 
-	ab, err := KernelPatchAblation(goldenOpt)
+	ab, err := KernelPatchAblation(ctx, goldenOpt)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +60,7 @@ func goldenArtifacts() (map[string]string, error) {
 			"  vanilla kernel: %.9fs (imbalance %.4f%%)\n",
 		ab.PatchedSeconds, ab.PatchedImbalance, ab.VanillaSeconds, ab.VanillaImbalance)
 
-	sc, err := Scaling(goldenOpt)
+	sc, err := Scaling(ctx, goldenOpt)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +74,7 @@ func goldenArtifacts() (map[string]string, error) {
 // reproduce the paper tables identically across refactors; the scaling
 // snapshot pins the multi-chip scenario the same way.
 func TestGoldenTables(t *testing.T) {
-	arts, err := goldenArtifacts()
+	arts, err := goldenArtifacts(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

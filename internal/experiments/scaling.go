@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -9,7 +10,6 @@ import (
 	"repro/internal/mpisim"
 	"repro/internal/oskernel"
 	"repro/internal/power5"
-	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -43,26 +43,17 @@ type ScalingRow struct {
 // is the workload the generalized machine model opens: the paper's
 // priority mechanism operating per-core across a whole node, with each
 // chip's private L2 keeping the zones' working sets apart.
-func Scaling(opt Options) ([]ScalingRow, error) {
+func Scaling(ctx context.Context, opt Options) ([]ScalingRow, error) {
 	opt = opt.normalize()
 	unit := scaleLoad(40_000, opt.Scale)
 
-	outs := sweep.Map(len(scalingChips), opt.Workers, func(i int) outcome[ScalingRow] {
-		row, err := scalingRow(scalingChips[i], unit)
-		return outcome[ScalingRow]{row, err}
+	return runAll(ctx, len(scalingChips), opt.Workers, func(i int) (ScalingRow, error) {
+		return scalingRow(ctx, scalingChips[i], unit)
 	})
-	if err := firstErr(outs); err != nil {
-		return nil, err
-	}
-	rows := make([]ScalingRow, 0, len(outs))
-	for _, o := range outs {
-		rows = append(rows, o.val)
-	}
-	return rows, nil
 }
 
 // scalingRow runs one node size.
-func scalingRow(chips int, unit int64) (ScalingRow, error) {
+func scalingRow(ctx context.Context, chips int, unit int64) (ScalingRow, error) {
 	topo := power5.Topology{Chips: chips, CoresPerChip: 2, SMTWays: 2}
 	n := topo.Contexts()
 	works := make([]float64, n)
@@ -87,7 +78,7 @@ func scalingRow(chips int, unit int64) (ScalingRow, error) {
 		KernelSet: true,
 	}
 
-	naive, err := mpisim.Run(job, mpisim.DefaultPlacement(n), cfg)
+	naive, err := mpisim.RunCtx(ctx, job, mpisim.DefaultPlacement(n), cfg)
 	if err != nil {
 		return ScalingRow{}, fmt.Errorf("experiments: scaling %d chips, naive: %w", chips, err)
 	}
@@ -95,7 +86,7 @@ func scalingRow(chips int, unit int64) (ScalingRow, error) {
 	if err != nil {
 		return ScalingRow{}, err
 	}
-	balanced, err := mpisim.Run(job, mpisim.Placement{CPU: plan.CPU, Prio: plan.Prio}, cfg)
+	balanced, err := mpisim.RunCtx(ctx, job, mpisim.Placement{CPU: plan.CPU, Prio: plan.Prio}, cfg)
 	if err != nil {
 		return ScalingRow{}, fmt.Errorf("experiments: scaling %d chips, balanced: %w", chips, err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/hwpri"
@@ -64,14 +65,14 @@ func measureDecode(pa, pb hwpri.Priority, cycles int64) (fa, fb, ipca, ipcb floa
 
 // Table2 reproduces Table II: decode-cycle allocation for priority
 // differences 0..4, measured on the simulator.
-func Table2(opt Options) ([]DecodeRow, error) {
+func Table2(ctx context.Context, opt Options) ([]DecodeRow, error) {
 	opt = opt.normalize()
 	cycles := scaleLoad(400_000, opt.Scale)
 	// Priority pairs realizing differences 0..4 within the OS range.
 	// Each row measures its own chip instance, so rows fan out across
 	// the worker pool.
 	pairs := [][2]hwpri.Priority{{4, 4}, {5, 4}, {6, 4}, {6, 3}, {6, 2}}
-	rows := sweep.Map(len(pairs), opt.Workers, func(d int) DecodeRow {
+	return sweep.Map(ctx, len(pairs), opt.Workers, func(d int) DecodeRow {
 		p := pairs[d]
 		al := hwpri.Alloc(p[0], p[1])
 		fa, fb, ipca, ipcb := measureDecode(p[0], p[1], cycles)
@@ -90,7 +91,6 @@ func Table2(opt Options) ([]DecodeRow, error) {
 			IPCB:      ipcb,
 		}
 	})
-	return rows, nil
 }
 
 // CheckTable2 asserts that the measured decode split matches the
@@ -145,7 +145,7 @@ type SpecialRow struct {
 
 // Table3 reproduces Table III: the special allocation regimes when a
 // priority is 0 or 1.
-func Table3(opt Options) ([]SpecialRow, error) {
+func Table3(ctx context.Context, opt Options) ([]SpecialRow, error) {
 	opt = opt.normalize()
 	cycles := scaleLoad(400_000, opt.Scale)
 	pairs := [][2]hwpri.Priority{
@@ -158,6 +158,9 @@ func Table3(opt Options) ([]SpecialRow, error) {
 	}
 	var rows []SpecialRow
 	for _, p := range pairs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		al := hwpri.Alloc(p[0], p[1])
 		_, _, ipca, ipcb := measureDecode(p[0], p[1], cycles)
 		rows = append(rows, SpecialRow{

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/apps/metbench"
@@ -20,7 +21,7 @@ var paperTable4 = map[string]struct {
 
 // Table4 reproduces Table IV / Figure 2: MetBench under the four priority
 // cases.
-func Table4(opt Options) ([]CaseResult, error) {
+func Table4(ctx context.Context, opt Options) ([]CaseResult, error) {
 	opt = opt.normalize()
 	cfg := metbench.DefaultConfig()
 	cfg.HeavyLoad = scaleLoad(cfg.HeavyLoad, opt.Scale)
@@ -35,7 +36,7 @@ func Table4(opt Options) ([]CaseResult, error) {
 		}
 		specs = append(specs, caseSpec{label: string(c), job: job, pl: pl})
 	}
-	out, err := runCases(specs, opt)
+	out, err := runCases(ctx, specs, opt)
 	if err != nil {
 		return nil, err
 	}

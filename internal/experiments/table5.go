@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/apps/btmz"
@@ -22,7 +23,7 @@ var paperTable5 = map[string]struct {
 
 // Table5 reproduces Table V / Figure 3: BT-MZ under ST mode and the four
 // priority/placement cases.
-func Table5(opt Options) ([]CaseResult, error) {
+func Table5(ctx context.Context, opt Options) ([]CaseResult, error) {
 	opt = opt.normalize()
 	var specs []caseSpec
 	for _, c := range btmz.Cases() {
@@ -37,7 +38,7 @@ func Table5(opt Options) ([]CaseResult, error) {
 		}
 		specs = append(specs, caseSpec{label: string(c), job: btmz.Job(cfg), pl: pl})
 	}
-	out, err := runCases(specs, opt)
+	out, err := runCases(ctx, specs, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/apps/siesta"
@@ -21,7 +22,7 @@ var paperTable6 = map[string]struct {
 
 // Table6 reproduces Table VI / Figure 4: SIESTA under ST mode and the four
 // priority/placement cases.
-func Table6(opt Options) ([]CaseResult, error) {
+func Table6(ctx context.Context, opt Options) ([]CaseResult, error) {
 	opt = opt.normalize()
 	var specs []caseSpec
 	for _, c := range siesta.Cases() {
@@ -38,7 +39,7 @@ func Table6(opt Options) ([]CaseResult, error) {
 		}
 		specs = append(specs, caseSpec{label: string(c), job: siesta.Job(cfg), pl: pl})
 	}
-	out, err := runCases(specs, opt)
+	out, err := runCases(ctx, specs, opt)
 	if err != nil {
 		return nil, err
 	}

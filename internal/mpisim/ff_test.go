@@ -33,11 +33,11 @@ func runBoth(t *testing.T, job *mpisim.Job, pl mpisim.Placement, cfg mpisim.Conf
 	t.Helper()
 	exact := cfg
 	exact.Exact = true
-	re, err := mpisim.Run(job, pl, exact)
+	re, err := mpisim.RunCtx(t.Context(), job, pl, exact)
 	if err != nil {
 		t.Fatalf("exact run failed: %v", err)
 	}
-	rf, err := mpisim.Run(job, pl, cfg)
+	rf, err := mpisim.RunCtx(t.Context(), job, pl, cfg)
 	if err != nil {
 		t.Fatalf("fast run failed: %v", err)
 	}
@@ -219,8 +219,8 @@ func TestPhaseSkipMaxCyclesOnFinalCycle(t *testing.T) {
 	mc.MaxCycles = exact.Cycles - 1
 	ecfg := mc
 	ecfg.Exact = true
-	_, errExact := mpisim.Run(job, mpisim.DefaultPlacement(2), ecfg)
-	_, errFast := mpisim.Run(job, mpisim.DefaultPlacement(2), mc)
+	_, errExact := mpisim.RunCtx(t.Context(), job, mpisim.DefaultPlacement(2), ecfg)
+	_, errFast := mpisim.RunCtx(t.Context(), job, mpisim.DefaultPlacement(2), mc)
 	if errExact == nil || errFast == nil {
 		t.Fatalf("expected MaxCycles errors, got exact=%v fast=%v", errExact, errFast)
 	}
@@ -236,7 +236,7 @@ func TestPhaseSkipLoadDriftForcesExact(t *testing.T) {
 	var mc mpisim.Config
 	quiet(&mc)
 	mc.LoadDrift = func(rank, idx int, l workload.Load) workload.Load { return l }
-	res, err := mpisim.Run(job, mpisim.DefaultPlacement(2), mc)
+	res, err := mpisim.RunCtx(t.Context(), job, mpisim.DefaultPlacement(2), mc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestPhaseSkipLoadDriftForcesExact(t *testing.T) {
 	var plain mpisim.Config
 	quiet(&plain)
 	plain.Exact = true
-	ref, err := mpisim.Run(job, mpisim.DefaultPlacement(2), plain)
+	ref, err := mpisim.RunCtx(t.Context(), job, mpisim.DefaultPlacement(2), plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestPhaseSkipExactFlagDisables(t *testing.T) {
 	var mc mpisim.Config
 	quiet(&mc)
 	mc.Exact = true
-	res, err := mpisim.Run(job, mpisim.DefaultPlacement(2), mc)
+	res, err := mpisim.RunCtx(t.Context(), job, mpisim.DefaultPlacement(2), mc)
 	if err != nil {
 		t.Fatal(err)
 	}

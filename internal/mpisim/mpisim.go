@@ -306,18 +306,11 @@ func spinLoad(id int) workload.Load {
 	return workload.Load{Kind: workload.Spin, Base: rankBase(id) | 1<<32, Seed: uint64(id) + 101}
 }
 
-// Run executes the job under the placement and configuration.
-//
-//mtlint:ctx-root ctx-less convenience wrapper; RunCtx is the cancellable form
-func Run(job *Job, pl Placement, cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), job, pl, cfg)
-}
-
-// RunCtx is Run with cancellation: the simulator checks ctx between
-// scheduling quanta — at least once per million simulated cycles — so a
-// hung or long run aborts promptly when the context is cancelled.  The
-// returned error wraps ctx.Err() (test with errors.Is).  A nil ctx means
-// context.Background().
+// RunCtx executes the job under the placement and configuration.  The
+// simulator checks ctx between scheduling quanta — at least once per
+// million simulated cycles — so a hung or long run aborts promptly when
+// the context is cancelled.  The returned error wraps ctx.Err() (test
+// with errors.Is).  A nil ctx means context.Background().
 func RunCtx(ctx context.Context, job *Job, pl Placement, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

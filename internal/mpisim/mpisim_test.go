@@ -40,23 +40,23 @@ func balancedJob(ranks int, n int64) *Job {
 
 func TestValidation(t *testing.T) {
 	cfg := quietCfg()
-	if _, err := Run(&Job{Name: "empty"}, Placement{}, cfg); err == nil {
+	if _, err := RunCtx(t.Context(), &Job{Name: "empty"}, Placement{}, cfg); err == nil {
 		t.Error("empty job accepted")
 	}
 	job := balancedJob(2, 100)
-	if _, err := Run(job, Placement{CPU: []int{0}, Prio: []hwpri.Priority{4}}, cfg); err == nil {
+	if _, err := RunCtx(t.Context(), job, Placement{CPU: []int{0}, Prio: []hwpri.Priority{4}}, cfg); err == nil {
 		t.Error("placement size mismatch accepted")
 	}
-	if _, err := Run(job, Placement{CPU: []int{0, 9}, Prio: []hwpri.Priority{4, 4}}, cfg); err == nil {
+	if _, err := RunCtx(t.Context(), job, Placement{CPU: []int{0, 9}, Prio: []hwpri.Priority{4, 4}}, cfg); err == nil {
 		t.Error("invalid CPU accepted")
 	}
-	if _, err := Run(job, Placement{CPU: []int{0, 0}, Prio: []hwpri.Priority{4, 4}}, cfg); err == nil {
+	if _, err := RunCtx(t.Context(), job, Placement{CPU: []int{0, 0}, Prio: []hwpri.Priority{4, 4}}, cfg); err == nil {
 		t.Error("double-pinned CPU accepted")
 	}
 }
 
 func TestBalancedRun(t *testing.T) {
-	res, err := Run(balancedJob(4, 20000), DefaultPlacement(4), quietCfg())
+	res, err := RunCtx(t.Context(), balancedJob(4, 20000), DefaultPlacement(4), quietCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestImbalancedJob(t *testing.T) {
 		{Compute(fpu(10000)), Barrier()},
 		{Compute(fpu(40000)), Barrier()},
 	}}
-	res, err := Run(job, DefaultPlacement(4), quietCfg())
+	res, err := RunCtx(t.Context(), job, DefaultPlacement(4), quietCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestPriorityBalancing(t *testing.T) {
 		{Compute(fpu(10000)), Barrier()},
 		{Compute(fpu(40000)), Barrier()},
 	}}
-	base, err := Run(job, DefaultPlacement(4), quietCfg())
+	base, err := RunCtx(t.Context(), job, DefaultPlacement(4), quietCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuned, err := Run(job, Placement{
+	tuned, err := RunCtx(t.Context(), job, Placement{
 		CPU:  []int{0, 1, 2, 3},
 		Prio: []hwpri.Priority{4, 6, 4, 6},
 	}, quietCfg())
@@ -137,11 +137,11 @@ func TestOverPenalization(t *testing.T) {
 		{Compute(fpu(10000)), Barrier()},
 		{Compute(fpu(40000)), Barrier()},
 	}}
-	good, err := Run(job, Placement{CPU: []int{0, 1, 2, 3}, Prio: []hwpri.Priority{4, 6, 4, 6}}, quietCfg())
+	good, err := RunCtx(t.Context(), job, Placement{CPU: []int{0, 1, 2, 3}, Prio: []hwpri.Priority{4, 6, 4, 6}}, quietCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := Run(job, Placement{CPU: []int{0, 1, 2, 3}, Prio: []hwpri.Priority{2, 6, 2, 6}}, quietCfg())
+	bad, err := RunCtx(t.Context(), job, Placement{CPU: []int{0, 1, 2, 3}, Prio: []hwpri.Priority{2, 6, 2, 6}}, quietCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestMultipleIterations(t *testing.T) {
 	var events []IterationEvent
 	cfg := quietCfg()
 	cfg.OnIteration = func(ev IterationEvent) { events = append(events, ev) }
-	res, err := Run(job, DefaultPlacement(4), cfg)
+	res, err := RunCtx(t.Context(), job, DefaultPlacement(4), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestExchangePhases(t *testing.T) {
 		{Compute(fpu(5000)), Exchange(4096, 3), Compute(fpu(5000))},
 		{Compute(fpu(5000)), Exchange(4096, 2), Compute(fpu(5000))},
 	}}
-	res, err := Run(job, DefaultPlacement(4), quietCfg())
+	res, err := RunCtx(t.Context(), job, DefaultPlacement(4), quietCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +230,11 @@ func TestExchangePhases(t *testing.T) {
 // ranks, but the 4-rank SMT run finishes the same total work sooner.
 func TestSingleThreadPlacement(t *testing.T) {
 	const work = 40000
-	smt, err := Run(balancedJob(4, work/2), DefaultPlacement(4), quietCfg())
+	smt, err := RunCtx(t.Context(), balancedJob(4, work/2), DefaultPlacement(4), quietCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Run(balancedJob(2, work), Placement{
+	st, err := RunCtx(t.Context(), balancedJob(2, work), Placement{
 		CPU:  []int{0, 2},
 		Prio: []hwpri.Priority{hwpri.VeryHigh, hwpri.VeryHigh},
 	}, quietCfg())
@@ -253,7 +253,7 @@ func TestSingleThreadPlacement(t *testing.T) {
 }
 
 func TestTraceShape(t *testing.T) {
-	res, err := Run(balancedJob(2, 5000), Placement{
+	res, err := RunCtx(t.Context(), balancedJob(2, 5000), Placement{
 		CPU:  []int{0, 1},
 		Prio: []hwpri.Priority{4, 4},
 	}, quietCfg())
@@ -280,11 +280,11 @@ func TestDeterminism(t *testing.T) {
 		{Compute(fpu(9000)), Barrier()},
 	}}
 	pl := Placement{CPU: []int{0, 1, 2, 3}, Prio: []hwpri.Priority{4, 5, 4, 6}}
-	a, err := Run(job, pl, quietCfg())
+	a, err := RunCtx(t.Context(), job, pl, quietCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(job, pl, quietCfg())
+	b, err := RunCtx(t.Context(), job, pl, quietCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestDeadlockGuard(t *testing.T) {
 	}}
 	cfg := quietCfg()
 	cfg.MaxCycles = 200000
-	if _, err := Run(job, DefaultPlacement(2), cfg); err == nil {
+	if _, err := RunCtx(t.Context(), job, DefaultPlacement(2), cfg); err == nil {
 		t.Fatal("deadlocked job did not error")
 	}
 }
@@ -320,13 +320,13 @@ func TestVanillaKernelClobbersPriorities(t *testing.T) {
 
 	patched := quietCfg()
 	patched.Kernel = oskernel.Config{Patched: true, TickPeriod: 2500, TickCost: 150}
-	pRes, err := Run(job, pl, patched)
+	pRes, err := RunCtx(t.Context(), job, pl, patched)
 	if err != nil {
 		t.Fatal(err)
 	}
 	vanilla := quietCfg()
 	vanilla.Kernel = oskernel.Config{Patched: false, TickPeriod: 2500, TickCost: 150}
-	vRes, err := Run(job, pl, vanilla)
+	vRes, err := RunCtx(t.Context(), job, pl, vanilla)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func multiChipCfg(chips int) Config {
 // every context is occupied, barriers span both chips, and per-rank
 // results carry the right (chip, core) coordinates.
 func TestMultiChipRun(t *testing.T) {
-	res, err := Run(balancedJob(8, 20000), DefaultPlacement(8), multiChipCfg(2))
+	res, err := RunCtx(t.Context(), balancedJob(8, 20000), DefaultPlacement(8), multiChipCfg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestMultiChipMirrorsSingleChip(t *testing.T) {
 		for i := range pl.CPU {
 			pl.CPU[i] += chip * 4
 		}
-		res, err := Run(job, pl, multiChipCfg(2))
+		res, err := RunCtx(t.Context(), job, pl, multiChipCfg(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -417,7 +417,7 @@ func TestMultiChipPriorityBalancing(t *testing.T) {
 		}
 		job.Ranks = append(job.Ranks, Program{Compute(fpu(n)), Barrier(), Compute(fpu(n)), Barrier()})
 	}
-	base, err := Run(job, DefaultPlacement(8), multiChipCfg(2))
+	base, err := RunCtx(t.Context(), job, DefaultPlacement(8), multiChipCfg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestMultiChipPriorityBalancing(t *testing.T) {
 	for r := 1; r < 8; r += 2 {
 		bal.Prio[r] = hwpri.High // heavy ranks favored (case C per core)
 	}
-	tuned, err := Run(job, bal, multiChipCfg(2))
+	tuned, err := RunCtx(t.Context(), job, bal, multiChipCfg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +509,7 @@ func TestLoadDrift(t *testing.T) {
 	}
 	pl := DefaultPlacement(2)
 
-	base, err := Run(job, pl, quietCfg())
+	base, err := RunCtx(t.Context(), job, pl, quietCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +522,7 @@ func TestLoadDrift(t *testing.T) {
 		seen[rank] = append(seen[rank], idx)
 		return load
 	}
-	same, err := Run(job, pl, cfg)
+	same, err := RunCtx(t.Context(), job, pl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +549,7 @@ func TestLoadDrift(t *testing.T) {
 		}
 		return load
 	}
-	drifted, err := Run(job, pl, cfg)
+	drifted, err := RunCtx(t.Context(), job, pl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +564,7 @@ func TestLoadDrift(t *testing.T) {
 		load.N = 0
 		return load
 	}
-	tiny, err := Run(job, pl, cfg)
+	tiny, err := RunCtx(t.Context(), job, pl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

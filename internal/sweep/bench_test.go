@@ -29,7 +29,7 @@ func BenchmarkSweepWorkers(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Sweep(job, points, Options{Workers: w}); err != nil {
+				if _, err := SweepCtx(b.Context(), job, points, Options{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -71,13 +71,13 @@ func BenchmarkSweepSpeedup(b *testing.B) {
 			var speedup float64
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
-				serial, err := Sweep(job, points, Options{Workers: 1, Config: cfg})
+				serial, err := SweepCtx(b.Context(), job, points, Options{Workers: 1, Config: cfg})
 				if err != nil {
 					b.Fatal(err)
 				}
 				tSerial := time.Since(t0)
 				t0 = time.Now()
-				parallel, err := Sweep(job, points, Options{Workers: workers, Config: cfg})
+				parallel, err := SweepCtx(b.Context(), job, points, Options{Workers: workers, Config: cfg})
 				if err != nil {
 					b.Fatal(err)
 				}

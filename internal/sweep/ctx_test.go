@@ -34,6 +34,13 @@ func TestForEachCtxCancelled(t *testing.T) {
 	if ran.Load() != 0 {
 		t.Errorf("%d items ran under a pre-cancelled context", ran.Load())
 	}
+	out, err := Map(ctx, 100, 4, func(i int) int { ran.Add(1); return i })
+	if !errors.Is(err, context.Canceled) || out != nil {
+		t.Fatalf("Map on a cancelled context returned (%v, %v), want (nil, context.Canceled)", out, err)
+	}
+	if ran.Load() != 0 {
+		t.Errorf("Map ran %d items under a pre-cancelled context", ran.Load())
+	}
 }
 
 func TestForEachCtxStopsClaiming(t *testing.T) {

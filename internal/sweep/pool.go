@@ -5,10 +5,10 @@
 //
 // The engine has three parts:
 //
-//   - A generic index-parallel worker pool (ForEach, Map).  Each work item
-//     writes only to its own slot of a pre-allocated result slice, so the
-//     pool is race-free by construction and its output is independent of
-//     the worker count and of scheduling order.
+//   - A generic index-parallel worker pool (ForEachCtx, Map).  Each work
+//     item writes only to its own slot of a pre-allocated result slice,
+//     so the pool is race-free by construction and its output is
+//     independent of the worker count and of scheduling order.
 //
 //   - Enumerators for the configuration space (Pairings, CoreAssignments,
 //     Enumerate): every distinct way to co-schedule ranks in sibling
@@ -22,11 +22,11 @@
 //     arbitrates between siblings, and the paper expresses dedicated
 //     cores as ST-mode rows (priority 7), not as sweep points.
 //
-//   - The sweep itself (Sweep): shard independent mpisim.Run calls — the
-//     simulator is pure and shares nothing between runs — across the
-//     pool, score each run with a pluggable Objective, and aggregate into
-//     a stable ranking that is byte-identical whether the sweep ran on
-//     one worker or fifty.  Multi-chip spaces are larger even after
+//   - The sweep itself (SweepCtx): shard independent mpisim.RunCtx calls
+//     — the simulator is pure and shares nothing between runs — across
+//     the pool, score each run with a pluggable Objective, and aggregate
+//     into a stable ranking that is byte-identical whether the sweep ran
+//     on one worker or fifty.  Multi-chip spaces are larger even after
 //     pruning, so the same index-sharded pool is what keeps 2-chip
 //     sweeps tractable: points are claimed one index at a time and each
 //     worker's results land in pre-allocated slots.
@@ -40,9 +40,9 @@ import (
 )
 
 // PoolSize resolves a requested worker count for n items: <= 0 selects
-// GOMAXPROCS, and the pool never runs more workers than items.  ForEach
-// uses it, and callers reporting their pool size should too, so the
-// report can never drift from the sizing actually used.
+// GOMAXPROCS, and the pool never runs more workers than items.
+// ForEachCtx uses it, and callers reporting their pool size should too,
+// so the report can never drift from the sizing actually used.
 func PoolSize(n, workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -53,7 +53,7 @@ func PoolSize(n, workers int) int {
 	return workers
 }
 
-// ForEach runs fn(i) for every i in [0, n) across at most workers
+// ForEachCtx runs fn(i) for every i in [0, n) across at most workers
 // goroutines.  workers <= 0 selects GOMAXPROCS; workers == 1 (or n == 1)
 // degenerates to a plain serial loop with no goroutines at all.  Work is
 // handed out through an atomic counter, so items are claimed in index
@@ -62,16 +62,11 @@ func PoolSize(n, workers int) int {
 // A panic in any fn is re-raised on the caller's goroutine after all
 // workers have drained.
 //
-//mtlint:ctx-root ctx-less convenience wrapper; ForEachCtx is the cancellable form
-func ForEach(n, workers int, fn func(i int)) {
-	ForEachCtx(context.Background(), n, workers, fn)
-}
-
-// ForEachCtx is ForEach with cancellation: once ctx is done, no new
-// index is claimed (in-flight fn calls finish — pass ctx into fn's own
-// work for prompt aborts) and ctx.Err() is returned.  Indices past the
-// cancellation point are simply never run; callers must treat their
-// slots as absent.  A nil ctx means context.Background().
+// Once ctx is done, no new index is claimed (in-flight fn calls finish —
+// pass ctx into fn's own work for prompt aborts) and ctx.Err() is
+// returned.  Indices past the cancellation point are simply never run;
+// callers must treat their slots as absent.  A nil ctx means
+// context.Background().
 func ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -135,11 +130,14 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	return ctx.Err()
 }
 
-// Map runs fn over [0, n) through ForEach and returns the results in
+// Map runs fn over [0, n) through ForEachCtx and returns the results in
 // index order.  The output is identical for every worker count as long
-// as fn(i) depends only on i.
-func Map[T any](n, workers int, fn func(i int) T) []T {
+// as fn(i) depends only on i.  A cancelled ctx returns ctx.Err() and no
+// results.
+func Map[T any](ctx context.Context, n, workers int, fn func(i int) T) ([]T, error) {
 	out := make([]T, n)
-	ForEach(n, workers, func(i int) { out[i] = fn(i) })
-	return out
+	if err := ForEachCtx(ctx, n, workers, func(i int) { out[i] = fn(i) }); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -287,7 +287,7 @@ func TestSymmetryPruningPreservesCycles(t *testing.T) {
 		cache := map[string]*mpisim.Result{}
 		for i := 0; i < len(raw); i += tc.stride {
 			pl := raw[i]
-			rres, err := mpisim.Run(job, pl, cfg)
+			rres, err := mpisim.RunCtx(t.Context(), job, pl, cfg)
 			if err != nil {
 				t.Fatalf("%s raw %v: %v", tc.topo, pl.CPU, err)
 			}
@@ -295,7 +295,7 @@ func TestSymmetryPruningPreservesCycles(t *testing.T) {
 			key := canon.String()
 			cres, ok := cache[key]
 			if !ok {
-				cres, err = mpisim.Run(job, canon.Placement(), cfg)
+				cres, err = mpisim.RunCtx(t.Context(), job, canon.Placement(), cfg)
 				if err != nil {
 					t.Fatalf("%s canonical %s: %v", tc.topo, canon, err)
 				}
@@ -328,7 +328,7 @@ func TestSymmetryPruningKeepsOptimum(t *testing.T) {
 	best := func(pls []mpisim.Placement) int64 {
 		bestCycles := int64(-1)
 		for _, pl := range pls {
-			res, err := mpisim.Run(job, pl, cfg)
+			res, err := mpisim.RunCtx(t.Context(), job, pl, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -384,7 +384,7 @@ func TestSweepTopologyDeterminism(t *testing.T) {
 	job := sweepJob(2000)
 	var ref *Result
 	for _, workers := range []int{1, 4} {
-		res, err := Sweep(job, points, Options{Workers: workers, Config: propCfg(topo)})
+		res, err := SweepCtx(t.Context(), job, points, Options{Workers: workers, Config: propCfg(topo)})
 		if err != nil {
 			t.Fatal(err)
 		}

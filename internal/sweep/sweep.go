@@ -83,20 +83,14 @@ func (r *Result) Best() (RunResult, error) {
 	return r.Ranked[0], nil
 }
 
-// Sweep evaluates every point of the space under the job and returns the
-// objective's ranking.  Each point is an independent mpisim.Run — the
-// simulator is pure, so runs fan out across the worker pool and land in
-// a pre-allocated slot; aggregation then scores and sorts with a total
+// SweepCtx evaluates every point of the space under the job and returns
+// the objective's ranking.  Each point is an independent mpisim.RunCtx —
+// the simulator is pure, so runs fan out across the worker pool and land
+// in a pre-allocated slot; aggregation then scores and sorts with a total
 // order.  The result is deterministic and independent of Options.Workers.
-//
-//mtlint:ctx-root ctx-less convenience wrapper; SweepCtx is the cancellable form
-func Sweep(job *mpisim.Job, points []Point, opt Options) (*Result, error) {
-	return SweepCtx(context.Background(), job, points, opt)
-}
-
-// SweepCtx is Sweep with cancellation: once ctx is done, no new point is
-// claimed, in-flight simulator runs abort at their next scheduling
-// quantum, and ctx.Err() is returned instead of a partial ranking.
+// Once ctx is done, no new point is claimed, in-flight simulator runs
+// abort at their next scheduling quantum, and ctx.Err() is returned
+// instead of a partial ranking.
 func SweepCtx(ctx context.Context, job *mpisim.Job, points []Point, opt Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -179,13 +173,4 @@ func SweepCtx(ctx context.Context, job *mpisim.Job, points []Point, opt Options)
 	}
 	out.Ranked = results
 	return out, nil
-}
-
-// SweepSpace enumerates the space for the job's rank count and sweeps it.
-func SweepSpace(job *mpisim.Job, sp Space, opt Options) (*Result, error) {
-	points, err := Enumerate(len(job.Ranks), sp)
-	if err != nil {
-		return nil, err
-	}
-	return Sweep(job, points, opt)
 }

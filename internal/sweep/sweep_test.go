@@ -14,14 +14,16 @@ func TestForEachCoversAllIndexes(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 8, 100} {
 		n := 57
 		hits := make([]int32, n)
-		ForEach(n, workers, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		if err := ForEachCtx(t.Context(), n, workers, func(i int) { atomic.AddInt32(&hits[i], 1) }); err != nil {
+			t.Fatal(err)
+		}
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("workers=%d: index %d executed %d times", workers, i, h)
 			}
 		}
 	}
-	ForEach(0, 4, func(int) { t.Fatal("fn called for n=0") })
+	ForEachCtx(t.Context(), 0, 4, func(int) { t.Fatal("fn called for n=0") })
 }
 
 func TestForEachPanicPropagates(t *testing.T) {
@@ -30,7 +32,7 @@ func TestForEachPanicPropagates(t *testing.T) {
 			t.Fatalf("recovered %v, want boom", r)
 		}
 	}()
-	ForEach(16, 4, func(i int) {
+	ForEachCtx(t.Context(), 16, 4, func(i int) {
 		if i == 7 {
 			panic("boom")
 		}
@@ -39,10 +41,13 @@ func TestForEachPanicPropagates(t *testing.T) {
 
 func TestMapOrderIndependentOfWorkers(t *testing.T) {
 	fn := func(i int) int { return i * i }
-	want := Map(40, 1, fn)
+	want, err := Map(t.Context(), 40, 1, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, w := range []int{2, 5, 16} {
-		if got := Map(40, w, fn); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: %v != %v", w, got, want)
+		if got, err := Map(t.Context(), 40, w, fn); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: %v != %v (err %v)", w, got, want, err)
 		}
 	}
 }
@@ -173,12 +178,12 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := Sweep(job, points, Options{Workers: 1})
+	serial, err := SweepCtx(t.Context(), job, points, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 8} {
-		par, err := Sweep(job, points, Options{Workers: w})
+		par, err := SweepCtx(t.Context(), job, points, Options{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +202,11 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 
 func TestSweepFindsBalancingConfiguration(t *testing.T) {
 	job := sweepJob(6000)
-	res, err := SweepSpace(job, testSpace(), Options{Workers: 4})
+	points, err := Enumerate(len(job.Ranks), testSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := SweepCtx(t.Context(), job, points, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +251,11 @@ func TestSweepObjectiveChangesRanking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byCycles, err := Sweep(job, points, Options{Objective: MinCycles()})
+	byCycles, err := SweepCtx(t.Context(), job, points, Options{Objective: MinCycles()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byImb, err := Sweep(job, points, Options{Objective: MinImbalance()})
+	byImb, err := SweepCtx(t.Context(), job, points, Options{Objective: MinImbalance()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +274,7 @@ func TestSweepTopTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Sweep(job, points, Options{Top: 5})
+	res, err := SweepCtx(t.Context(), job, points, Options{Top: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +293,7 @@ func TestSweepRecordsFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A 1-cycle budget starves every run.
-	res, err := Sweep(job, points, Options{Config: mpisim.Config{MaxCycles: 1}})
+	res, err := SweepCtx(t.Context(), job, points, Options{Config: mpisim.Config{MaxCycles: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +307,7 @@ func TestSweepRecordsFailures(t *testing.T) {
 		t.Error("Best succeeded on an all-failed sweep")
 	}
 	// Truncation must not erase the failure record.
-	res, err = Sweep(job, points, Options{Top: 1, Config: mpisim.Config{MaxCycles: 1}})
+	res, err = SweepCtx(t.Context(), job, points, Options{Top: 1, Config: mpisim.Config{MaxCycles: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,12 +318,12 @@ func TestSweepRecordsFailures(t *testing.T) {
 
 func TestSweepRejectsBadOptions(t *testing.T) {
 	job := sweepJob(1000)
-	if _, err := Sweep(job, nil, Options{}); err == nil {
+	if _, err := SweepCtx(t.Context(), job, nil, Options{}); err == nil {
 		t.Error("empty space accepted")
 	}
 	cfg := mpisim.Config{OnIteration: func(mpisim.IterationEvent) {}}
 	points, _ := Enumerate(4, testSpace())
-	if _, err := Sweep(job, points, Options{Config: cfg}); err == nil {
+	if _, err := SweepCtx(t.Context(), job, points, Options{Config: cfg}); err == nil {
 		t.Error("OnIteration accepted")
 	}
 }

@@ -30,9 +30,6 @@ import (
 // in-memory cache, so repeated configurations — a sweep resumed under a
 // different objective, Optimize re-running its winner, identical service
 // requests — are served from memory.  CacheStats reports the hit rate.
-//
-// The package-level Run, Sweep and OptimizePlacement free functions are
-// deprecated thin wrappers over a shared default Machine.
 type Machine struct {
 	opts Options
 	// runs memoizes full Results (traces included) for Run, mets the
@@ -47,7 +44,7 @@ type Machine struct {
 // caches).  The options are copied; later mutation of opts does not
 // affect the Machine.  Options.OnIteration, if set, disables result
 // caching for Run calls (the callback must observe every iteration), and
-// is rejected by Sweep as before.  Options.Policy attaches a balancing
+// is rejected by Sweep.  Options.Policy attaches a balancing
 // policy to every run — including sweeps and Optimize, whose whole space
 // then evaluates under it; RunPolicy overrides it per call, and sweeps
 // over several policies use Space.Policies on a policy-less machine.
@@ -60,36 +57,11 @@ func NewMachine(opts *Options) (*Machine, error) {
 	if err := o.Topology.Validate(); err != nil {
 		return nil, fmt.Errorf("smtbalance: invalid Options.Topology: %w", err)
 	}
-	if _, err := o.resolvePolicy(); err != nil {
-		return nil, err
-	}
 	return &Machine{
 		opts: o,
 		runs: memo[cacheKey, *Result]{limit: defaultRunCacheCap, codec: runCodec, clone: (*Result).clone},
 		mets: memo[cacheKey, sweep.Metrics]{limit: defaultMetricCacheCap, codec: metCodec},
 	}, nil
-}
-
-// defaultMachine backs the deprecated package-level wrappers for calls
-// with default options, so their repeated configurations share one cache.
-var defaultMachine = sync.OnceValue(func() *Machine {
-	m, err := NewMachine(nil)
-	if err != nil {
-		panic(err)
-	}
-	return m
-})
-
-// machineFor resolves the wrapper-level *Options to a Machine: nil
-// options share the package's default Machine (and its cache); any
-// explicit options get a transient Machine of their own.  Only nil maps
-// to the shared machine — inspecting opts field-by-field would silently
-// misroute any Options field added later.
-func machineFor(opts *Options) (*Machine, error) {
-	if opts == nil {
-		return defaultMachine(), nil
-	}
-	return NewMachine(opts)
 }
 
 // Topology returns the machine's (normalized) topology.
@@ -157,17 +129,12 @@ func ctxErrOf(ctx context.Context, err error) error {
 }
 
 // Run executes the job under the placement on this machine, with the
-// machine's configured balancing policy (Options.Policy, or the
-// deprecated DynamicBalance knob) attached.  Identical (job, placement,
-// policy) runs are served from the result cache unless
-// Options.OnIteration is set.  Cancelling ctx aborts the simulation
-// promptly with ctx.Err().
+// machine's configured balancing policy (Options.Policy) attached.
+// Identical (job, placement, policy) runs are served from the result
+// cache unless Options.OnIteration is set.  Cancelling ctx aborts the
+// simulation promptly with ctx.Err().
 func (m *Machine) Run(ctx context.Context, job Job, pl Placement) (*Result, error) {
-	pol, err := m.opts.resolvePolicy()
-	if err != nil {
-		return nil, err
-	}
-	return m.runPolicy(ctx, job, pl, pol)
+	return m.runPolicy(ctx, job, pl, m.opts.resolvePolicy())
 }
 
 // RunPolicy is Run with an explicit balancing policy, overriding the
@@ -239,11 +206,8 @@ func (m *Machine) sweepAll(ctx context.Context, job Job, space Space, opts *Swee
 	if opts == nil {
 		opts = &SweepOptions{}
 	}
-	if opts.Run != nil {
-		return nil, fmt.Errorf("smtbalance: SweepOptions.Run must be nil for Machine sweeps; the Machine fixes the environment (build a second Machine instead)")
-	}
-	if m.opts.DynamicBalance || m.opts.OnIteration != nil {
-		return nil, fmt.Errorf("smtbalance: the deprecated DynamicBalance knob and OnIteration are not supported in sweeps; set Options.Policy or list policies in Space.Policies")
+	if m.opts.OnIteration != nil {
+		return nil, fmt.Errorf("smtbalance: Options.OnIteration is not supported in sweeps (runs execute concurrently)")
 	}
 	if m.opts.LoadDrift != nil {
 		return nil, fmt.Errorf("smtbalance: Options.LoadDrift is not supported in sweeps; precompute the drift into the job (e.g. a phaseshift Scenario) so every point runs the same program")
@@ -430,8 +394,6 @@ func (m *Machine) simPoint(ctx context.Context, pol Policy, ijob *mpisim.Job, ip
 // evaluation completes — but the iterator may be abandoned at any point
 // (break), and cancelling ctx aborts the evaluation promptly, yielding
 // exactly one (SweepEntry{}, ctx.Err()) pair.
-//
-// SweepOptions.Run must be nil: the Machine fixes the environment.
 func (m *Machine) Sweep(ctx context.Context, job Job, space Space, opts *SweepOptions) iter.Seq2[SweepEntry, error] {
 	return func(yield func(SweepEntry, error) bool) {
 		res, err := m.sweepAll(ctx, job, space, opts)
@@ -447,8 +409,7 @@ func (m *Machine) Sweep(ctx context.Context, job Job, space Space, opts *SweepOp
 	}
 }
 
-// SweepAll is Sweep collected into a SweepResult — the form the
-// deprecated package-level Sweep wrapper returns.
+// SweepAll is Sweep collected into a SweepResult.
 func (m *Machine) SweepAll(ctx context.Context, job Job, space Space, opts *SweepOptions) (*SweepResult, error) {
 	return m.sweepAll(ctx, job, space, opts)
 }
@@ -461,8 +422,7 @@ func (m *Machine) SweepAll(ctx context.Context, job Job, space Space, opts *Swee
 // is served from the result cache when the configuration was run before.
 // An optional single SweepOptions argument tunes the search (Workers,
 // Progress, and Screen for the two-level coarse → fine search); its Top
-// and Objective are overridden, and Run must be nil as in every Machine
-// sweep.
+// and Objective are overridden.
 func (m *Machine) Optimize(ctx context.Context, job Job, objective Objective, opts ...*SweepOptions) (Placement, *Result, error) {
 	if len(opts) > 1 {
 		return Placement{}, nil, fmt.Errorf("smtbalance: Optimize takes at most one SweepOptions, got %d", len(opts))

@@ -393,8 +393,8 @@ func (StaticPolicy) Observe(IterationStats) []PriorityAction { return nil }
 // Bind implements PolicyBinder; StaticPolicy is stateless.
 func (StaticPolicy) Bind(Topology, Placement) Policy { return StaticPolicy{} }
 
-// PaperDynamic is the paper's Section VIII proposal, extracted from the
-// old Options.DynamicBalance knob: at every barrier release it compares
+// PaperDynamic is the paper's Section VIII proposal: at every barrier
+// release it compares
 // the computation times of the two ranks of each core and, once the
 // imbalance points the same way for Hysteresis iterations, shifts the
 // pair's priority difference one step toward the laggard, backing off

@@ -18,21 +18,20 @@
 //     Topology.SuggestPlacement and ParsePlacement build placements for
 //     it from (chip, core, context) coordinates.  Every paper table
 //     assumes the 1×2×2 default.
-//   - Run the job; the Result carries the paper's metrics (execution
+//   - Run the job on a Machine; the Result carries the paper's metrics (execution
 //     time, per-rank computation/synchronization shares, the imbalance
 //     percentage) and a PARAVER-style timeline.
-//   - Let the library balance for you: SuggestPlacement derives a static
-//     priority plan from per-rank work, and Options.Policy attaches an
-//     online balancing Policy — the paper's Section VIII balancer
-//     (PaperDynamic, the resolution of the deprecated
-//     Options.DynamicBalance knob), a topology-aware two-level balancer
+//   - Let the library balance for you: Topology.SuggestPlacement derives a
+//     static priority plan from per-rank work, and Options.Policy attaches
+//     an online balancing Policy — the paper's Section VIII balancer
+//     (PaperDynamic), a topology-aware two-level balancer
 //     (HierarchicalPolicy), a proportional controller (FeedbackPolicy),
 //     or your own via RegisterPolicy/ParsePolicy.  Space.Policies lets a
 //     sweep rank policies against each other, and Session.Balance closes
 //     the paper's profile → re-place → retune loop in one call.
-//   - Search instead of guessing: Sweep fans every placement × priority
-//     configuration out across a worker pool and ranks them by a
-//     pluggable objective, and OptimizePlacement returns the best
+//   - Search instead of guessing: Machine.Sweep fans every placement ×
+//     priority configuration out across a worker pool and ranks them by
+//     a pluggable objective, and Machine.Optimize returns the best
 //     configuration found — the by-hand procedure behind the paper's
 //     Tables IV-VI, automated and parallel.  On multi-chip topologies
 //     the space additionally covers packing co-scheduled pairs onto one
@@ -53,13 +52,8 @@
 // memory (see CacheStats).  Machine.NewSession binds one job to the
 // machine for the iterative loop itself: Session.Run records the last
 // result and Session.SuggestFromLast turns its observed compute shares
-// into the next placement to try.
-//
-// The package-level Run, Sweep and OptimizePlacement free functions are
-// deprecated: they remain as thin wrappers over a shared default
-// Machine (or a transient one for non-default options) and keep working
-// unchanged, but new code should hold a Machine.  The `mtbalance serve`
-// subcommand exposes a Machine over an HTTP JSON API.
+// into the next placement to try.  The `mtbalance serve` subcommand
+// exposes a Machine over an HTTP JSON API.
 //
 // The quickstart example:
 //
@@ -69,7 +63,11 @@
 //	    {smtbalance.Compute("fpu", 50000), smtbalance.Barrier()},
 //	    {smtbalance.Compute("fpu", 200000), smtbalance.Barrier()},
 //	}}
-//	res, err := smtbalance.Run(job, smtbalance.PinInOrder(4), nil)
+//	m, err := smtbalance.NewMachine(nil)
+//	if err != nil {
+//	    log.Fatal(err)
+//	}
+//	res, err := m.Run(ctx, job, smtbalance.PinInOrder(4))
 //
 // See the examples/ directory for complete programs and internal/
 // experiments for the reproduction of every table and figure of the paper.

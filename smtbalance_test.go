@@ -1,11 +1,35 @@
 package smtbalance
 
-//lint:file-ignore SA1019 the deprecated Run/Sweep wrappers and DynamicBalance knobs are exercised on purpose: these tests pin that the old spellings stay behavior-identical to their replacements
-
 import (
 	"strings"
+	"sync"
 	"testing"
 )
+
+// sharedMachine is the suite-wide default-environment Machine: tests
+// that need no options of their own share it, and with it the result
+// cache, so configurations repeated across tests simulate once.
+var sharedMachine = sync.OnceValue(func() *Machine {
+	m, err := NewMachine(nil)
+	if err != nil {
+		panic(err)
+	}
+	return m
+})
+
+// testMachine returns a Machine for opts — the shared one for nil —
+// failing the test if the options are rejected.
+func testMachine(t testing.TB, opts *Options) *Machine {
+	t.Helper()
+	if opts == nil {
+		return sharedMachine()
+	}
+	m, err := NewMachine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 func demoJob(light, heavy int64) Job {
 	return Job{Name: "demo", Ranks: [][]Phase{
@@ -67,7 +91,7 @@ func TestKernelKinds(t *testing.T) {
 }
 
 func TestRunBasic(t *testing.T) {
-	res, err := Run(demoJob(10000, 40000), PinInOrder(4), &Options{NoOSNoise: true})
+	res, err := testMachine(t, &Options{NoOSNoise: true}).Run(t.Context(), demoJob(10000, 40000), PinInOrder(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +123,15 @@ func TestRunBasic(t *testing.T) {
 // TestManualPriorityBalancing is the paper's headline via the public API.
 func TestManualPriorityBalancing(t *testing.T) {
 	job := demoJob(10000, 40000)
-	base, err := Run(job, PinInOrder(4), &Options{NoOSNoise: true})
+	m := testMachine(t, &Options{NoOSNoise: true})
+	base, err := m.Run(t.Context(), job, PinInOrder(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuned, err := Run(job, Placement{
+	tuned, err := m.Run(t.Context(), job, Placement{
 		CPU:      []int{0, 1, 2, 3},
 		Priority: []Priority{PriorityMedium, PriorityHigh, PriorityMedium, PriorityHigh},
-	}, &Options{NoOSNoise: true})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +144,7 @@ func TestManualPriorityBalancing(t *testing.T) {
 }
 
 func TestSuggestPlacement(t *testing.T) {
-	pl, err := SuggestPlacement([]float64{10000, 40000, 10000, 40000})
+	pl, err := DefaultTopology().SuggestPlacement([]float64{10000, 40000, 10000, 40000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,18 +168,19 @@ func TestSuggestPlacement(t *testing.T) {
 	}
 	// The suggested placement must beat the naive one.
 	job := demoJob(10000, 40000)
-	base, err := Run(job, PinInOrder(4), &Options{NoOSNoise: true})
+	m := testMachine(t, &Options{NoOSNoise: true})
+	base, err := m.Run(t.Context(), job, PinInOrder(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned, err := Run(job, pl, &Options{NoOSNoise: true})
+	planned, err := m.Run(t.Context(), job, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if planned.Cycles >= base.Cycles {
 		t.Errorf("suggested placement (%d cycles) not better than naive (%d)", planned.Cycles, base.Cycles)
 	}
-	if _, err := SuggestPlacement([]float64{1, 2, 3}); err == nil {
+	if _, err := DefaultTopology().SuggestPlacement([]float64{1, 2, 3}); err == nil {
 		t.Error("odd rank count accepted")
 	}
 }
@@ -174,16 +200,15 @@ func TestDynamicBalanceOption(t *testing.T) {
 		job.Ranks = append(job.Ranks, prog)
 	}
 	var iters int
-	base, err := Run(job, PinInOrder(4), &Options{NoOSNoise: true})
+	base, err := testMachine(t, &Options{NoOSNoise: true}).Run(t.Context(), job, PinInOrder(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := Run(job, PinInOrder(4), &Options{
-		NoOSNoise:       true,
-		DynamicBalance:  true,
-		MaxPriorityDiff: 2,
-		OnIteration:     func(IterationStats) { iters++ },
-	})
+	dyn, err := testMachine(t, &Options{
+		NoOSNoise:   true,
+		Policy:      &PaperDynamic{MaxDiff: 2},
+		OnIteration: func(IterationStats) { iters++ },
+	}).Run(t.Context(), job, PinInOrder(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +232,11 @@ func TestVanillaKernelOption(t *testing.T) {
 		CPU:      []int{0, 1, 2, 3},
 		Priority: []Priority{PriorityMedium, PriorityHigh, PriorityMedium, PriorityHigh},
 	}
-	patched, err := Run(job, pl, nil)
+	patched, err := testMachine(t, nil).Run(t.Context(), job, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vanilla, err := Run(job, pl, &Options{VanillaKernel: true})
+	vanilla, err := testMachine(t, &Options{VanillaKernel: true}).Run(t.Context(), job, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,10 +247,11 @@ func TestVanillaKernelOption(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	job := demoJob(100, 100)
-	if _, err := Run(job, Placement{CPU: []int{0, 1, 2, 3}, Priority: []Priority{9, 4, 4, 4}}, nil); err == nil {
+	m := testMachine(t, nil)
+	if _, err := m.Run(t.Context(), job, Placement{CPU: []int{0, 1, 2, 3}, Priority: []Priority{9, 4, 4, 4}}); err == nil {
 		t.Error("invalid priority accepted")
 	}
-	if _, err := Run(Job{}, Placement{}, nil); err == nil {
+	if _, err := m.Run(t.Context(), Job{}, Placement{}); err == nil {
 		t.Error("empty job accepted")
 	}
 }
@@ -235,7 +261,7 @@ func TestComputeSized(t *testing.T) {
 		{ComputeSized("l1", 5000, 4096), Barrier()},
 		{ComputeSized("l1", 5000, 4096), Barrier()},
 	}}
-	if _, err := Run(job, PinInOrder(2), &Options{NoOSNoise: true}); err != nil {
+	if _, err := testMachine(t, &Options{NoOSNoise: true}).Run(t.Context(), job, PinInOrder(2)); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {

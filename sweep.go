@@ -1,7 +1,6 @@
 package smtbalance
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -15,8 +14,8 @@ import (
 // sibling-context symmetries pruned) with a per-rank priority alphabet.
 // On the default machine a 4-rank job has 3 distinct pairings; the
 // user-settable alphabet {2,3,4} then yields 243 configurations, the
-// OS-settable alphabet {2..6} 1875.  The machine itself comes from
-// SweepOptions.Run.Topology: on a 2×2×2 node the same 4-rank job gains a
+// OS-settable alphabet {2..6} 1875.  The machine itself is the sweeping
+// Machine's topology: on a 2×2×2 node the same 4-rank job gains a
 // second core map per pairing (pairs packed on one chip's L2 or spread
 // across chips), doubling the space.
 type Space struct {
@@ -114,15 +113,6 @@ type SweepOptions struct {
 	Screen int
 	// Objective scores each run; the zero value minimizes cycles.
 	Objective Objective
-	// Run is the per-run simulation environment — only consulted by the
-	// deprecated package-level Sweep and OptimizePlacement wrappers,
-	// which build a Machine from it.  Machine.Sweep rejects a non-nil
-	// Run: the Machine already fixes the environment.  Machine-level
-	// balancing (Policy, the deprecated DynamicBalance) and OnIteration
-	// are rejected in every sweep — runs execute concurrently, and the
-	// policy axis belongs to Space.Policies, where each run gets its
-	// own bound instance.
-	Run *Options
 	// Progress, if set, observes the evaluation as it runs with
 	// (evaluated, total) configuration counts.  Calls are serialized
 	// but follow run completion order.
@@ -216,81 +206,4 @@ func (r *SweepResult) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Sweep evaluates every configuration of the space under the job across
-// a worker pool and returns the objective's ranking.  Runs share
-// nothing, so the sweep parallelizes linearly with CPUs, and the
-// aggregation is input-order based, so the ranking does not depend on
-// the worker count.  The job must have an even number of ranks whose
-// pairs fit the machine's cores (up to four ranks on the default POWER5
-// model; Run.Topology opens larger machines).
-//
-// Deprecated: Sweep is a thin wrapper over a Machine built from
-// opts.Run; new code should build the Machine once with NewMachine and
-// use Machine.Sweep (a cancellable streaming iterator with progress
-// reporting) or Machine.SweepAll.
-//
-//mtlint:ctx-root deprecated ctx-less wrapper; Machine.Sweep/SweepAll are the cancellable forms
-func Sweep(job Job, space Space, opts *SweepOptions) (*SweepResult, error) {
-	if opts == nil {
-		opts = &SweepOptions{}
-	}
-	m, err := machineFor(opts.Run)
-	if err != nil {
-		return nil, err
-	}
-	mOpts := *opts
-	mOpts.Run = nil // the Machine carries the environment now
-	return m.sweepAll(context.Background(), job, space, &mOpts)
-}
-
-// OptimizePlacement searches the OS-settable placement × priority space
-// for the configuration optimizing the objective and returns it together
-// with its full Result — the automated version of the by-hand procedure
-// behind the paper's Tables IV-VI, and the search SuggestPlacement only
-// approximates with its performance model.  An optional single
-// SweepOptions argument tunes the search (Workers, Progress) and, via
-// its Run field, the simulation environment: the winner's re-run uses
-// the same environment as the sweep, so optimizing over a non-default
-// Options.Topology returns that topology's best run, not the default
-// machine's.  Top and Objective in the provided options are overridden.
-//
-// Deprecated: new code should build a Machine with NewMachine and call
-// Machine.Optimize, which is cancellable and threads the machine's
-// environment through both the sweep and the winner's re-run.
-//
-//mtlint:ctx-root deprecated ctx-less wrapper; Machine.Optimize is the cancellable form
-func OptimizePlacement(job Job, objective Objective, opts ...*SweepOptions) (Placement, *Result, error) {
-	if len(opts) > 1 {
-		return Placement{}, nil, fmt.Errorf("smtbalance: OptimizePlacement takes at most one SweepOptions, got %d", len(opts))
-	}
-	var so SweepOptions
-	if len(opts) == 1 && opts[0] != nil {
-		so = *opts[0]
-	}
-	m, err := machineFor(so.Run)
-	if err != nil {
-		return Placement{}, nil, err
-	}
-	so.Run = nil
-	so.Top = 1
-	so.Objective = objective
-	ctx := context.Background()
-	sw, err := m.sweepAll(ctx, job, OSSettableSpace(), &so)
-	if err != nil {
-		return Placement{}, nil, err
-	}
-	best, err := sw.Best()
-	if err != nil {
-		return Placement{}, nil, err
-	}
-	// Re-run the winner for the full Result (trace included) under the
-	// machine's own environment: the simulator is deterministic, so this
-	// reproduces the swept run — served from the cache when possible.
-	res, err := m.Run(ctx, job, best.Placement)
-	if err != nil {
-		return Placement{}, nil, err
-	}
-	return best.Placement, res, nil
 }

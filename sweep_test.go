@@ -1,9 +1,6 @@
 package smtbalance
 
-//lint:file-ignore SA1019 the deprecated Run/Sweep wrappers and DynamicBalance knobs are exercised on purpose: these tests pin that the old spellings stay behavior-identical to their replacements
-
 import (
-	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -22,11 +19,12 @@ func sweepTestJob(light, heavy int64) Job {
 func TestSweepPublicDeterminism(t *testing.T) {
 	job := sweepTestJob(3000, 12000)
 	space := Space{Priorities: []Priority{PriorityMedium, PriorityHigh}}
-	serial, err := Sweep(job, space, &SweepOptions{Workers: 1})
+	m := testMachine(t, nil)
+	serial, err := m.SweepAll(t.Context(), job, space, &SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Sweep(job, space, &SweepOptions{Workers: 8})
+	parallel, err := m.SweepAll(t.Context(), job, space, &SweepOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +38,7 @@ func TestSweepPublicDeterminism(t *testing.T) {
 
 func TestSweepFixPairing(t *testing.T) {
 	job := sweepTestJob(2000, 8000)
-	res, err := Sweep(job, Space{FixPairing: true,
+	res, err := testMachine(t, nil).SweepAll(t.Context(), job, Space{FixPairing: true,
 		Priorities: []Priority{PriorityMedium, PriorityHigh}}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -57,11 +55,12 @@ func TestSweepFixPairing(t *testing.T) {
 
 func TestSweepBeatsDefaultPlacement(t *testing.T) {
 	job := sweepTestJob(3000, 12000)
-	base, err := Run(job, PinInOrder(4), nil)
+	m := testMachine(t, nil)
+	base, err := m.Run(t.Context(), job, PinInOrder(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Sweep(job, UserSettableSpace(), &SweepOptions{Top: 3})
+	res, err := m.SweepAll(t.Context(), job, UserSettableSpace(), &SweepOptions{Top: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +80,12 @@ func TestSweepBeatsDefaultPlacement(t *testing.T) {
 func TestSweepObjectives(t *testing.T) {
 	job := sweepTestJob(2000, 8000)
 	space := Space{FixPairing: true, Priorities: []Priority{PriorityMedium, PriorityHigh}}
-	byImb, err := Sweep(job, space, &SweepOptions{Objective: MinimizeImbalance()})
+	m := testMachine(t, nil)
+	byImb, err := m.SweepAll(t.Context(), job, space, &SweepOptions{Objective: MinimizeImbalance()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byCyc, err := Sweep(job, space, &SweepOptions{Objective: MinimizeCycles()})
+	byCyc, err := m.SweepAll(t.Context(), job, space, &SweepOptions{Objective: MinimizeCycles()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,17 +103,16 @@ func TestSweepObjectives(t *testing.T) {
 
 func TestSweepRejectsDynamicOptions(t *testing.T) {
 	job := sweepTestJob(1000, 2000)
-	if _, err := Sweep(job, Space{}, &SweepOptions{Run: &Options{DynamicBalance: true}}); err == nil {
-		t.Error("DynamicBalance accepted in a sweep")
-	}
-	if _, err := Sweep(job, Space{}, &SweepOptions{Run: &Options{OnIteration: func(IterationStats) {}}}); err == nil {
+	hooked := testMachine(t, &Options{OnIteration: func(IterationStats) {}})
+	if _, err := hooked.SweepAll(t.Context(), job, Space{}, nil); err == nil {
 		t.Error("OnIteration accepted in a sweep")
 	}
-	if _, err := Sweep(job, Space{Priorities: []Priority{Priority(9)}}, nil); err == nil {
+	m := testMachine(t, nil)
+	if _, err := m.SweepAll(t.Context(), job, Space{Priorities: []Priority{Priority(9)}}, nil); err == nil {
 		t.Error("invalid priority accepted in a space")
 	}
 	odd := Job{Ranks: job.Ranks[:3]}
-	if _, err := Sweep(odd, Space{}, nil); err == nil {
+	if _, err := m.SweepAll(t.Context(), odd, Space{}, nil); err == nil {
 		t.Error("odd rank count accepted")
 	}
 }
@@ -123,8 +122,9 @@ func TestSweepFailedRunsErrorRegardlessOfTop(t *testing.T) {
 	space := Space{FixPairing: true, Priorities: []Priority{PriorityMedium, PriorityHigh}}
 	// A 1-cycle budget starves every configuration; the sweep must
 	// report that whether or not truncation would hide the failures.
+	m := testMachine(t, &Options{MaxCycles: 1})
 	for _, top := range []int{0, 2} {
-		_, err := Sweep(job, space, &SweepOptions{Top: top, Run: &Options{MaxCycles: 1}})
+		_, err := m.SweepAll(t.Context(), job, space, &SweepOptions{Top: top})
 		if err == nil {
 			t.Errorf("Top=%d: sweep with failing runs returned no error", top)
 		} else if !strings.Contains(err.Error(), "16 of 16") {
@@ -135,7 +135,7 @@ func TestSweepFailedRunsErrorRegardlessOfTop(t *testing.T) {
 
 func TestSweepWriteCSV(t *testing.T) {
 	job := sweepTestJob(1500, 6000)
-	res, err := Sweep(job, Space{FixPairing: true,
+	res, err := testMachine(t, nil).SweepAll(t.Context(), job, Space{FixPairing: true,
 		Priorities: []Priority{PriorityMedium, PriorityHigh}}, &SweepOptions{Top: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -156,46 +156,17 @@ func TestSweepWriteCSV(t *testing.T) {
 	}
 }
 
-func TestOptimizePlacement(t *testing.T) {
-	job := sweepTestJob(1500, 6000)
-	base, err := Run(job, PinInOrder(4), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, res, err := OptimizePlacement(job, MinimizeCycles())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pl.CPU) != 4 || len(pl.Priority) != 4 {
-		t.Fatalf("placement shape wrong: %+v", pl)
-	}
-	if res.Cycles >= base.Cycles {
-		t.Errorf("optimized placement (%d cycles) no faster than default (%d cycles)",
-			res.Cycles, base.Cycles)
-	}
-	// The result must be the winner's actual run, not an estimate.
-	rerun, err := Run(job, pl, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rerun.Cycles != res.Cycles {
-		t.Errorf("returned Result (%d cycles) does not match its placement's run (%d cycles)",
-			res.Cycles, rerun.Cycles)
-	}
-}
-
-// TestOptimizePlacementThreadsOptions is the regression test for the
-// options-dropping bug: OptimizePlacement used to re-run the winning
-// placement with nil options, so a sweep over a non-default
-// Options.Topology re-ran its winner on the 1×2×2 default machine —
-// failing outright when the winner used a CPU past 3, silently
-// mismatching otherwise.  The sweep's whole environment (topology and
-// noise settings here) must carry into the winner's re-run.
+// TestOptimizePlacementThreadsOptions pins that Optimize re-runs its
+// winner on the machine's own environment: re-running the winning
+// placement on the 1×2×2 default would fail outright when the winner
+// used a CPU past 3 and silently mismatch otherwise.  The machine's
+// whole environment (topology and noise settings here) must carry into
+// the winner's re-run.
 func TestOptimizePlacementThreadsOptions(t *testing.T) {
 	topo := Topology{Chips: 2, CoresPerChip: 2, SMTWays: 2}
 	opts := &Options{Topology: topo, NoOSNoise: true}
 	job := sweepTestJob(200, 800)
-	pl, res, err := OptimizePlacement(job, MinimizeCycles(), &SweepOptions{Run: opts})
+	pl, res, err := testMachine(t, opts).Optimize(t.Context(), job, MinimizeCycles())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,9 +175,10 @@ func TestOptimizePlacementThreadsOptions(t *testing.T) {
 			t.Fatalf("winner pins rank %d to CPU %d outside the %s topology", r, cpu, topo)
 		}
 	}
-	// The returned Result must be the winner's run under the sweep's own
-	// environment: re-running it there reproduces it exactly.
-	rerun, err := Run(job, pl, opts)
+	// The returned Result must be the winner's run under the machine's
+	// own environment: re-running it on a fresh machine with the same
+	// options (and so an empty cache) reproduces it exactly.
+	rerun, err := testMachine(t, opts).Run(t.Context(), job, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,19 +192,17 @@ func TestOptimizePlacementThreadsOptions(t *testing.T) {
 			t.Errorf("rank %d reports chip %d, want %d — result not from the 2-chip machine", i, rr.Chip, wantChip)
 		}
 	}
-	if _, _, err := OptimizePlacement(job, MinimizeCycles(), nil, nil); err == nil {
-		t.Error("OptimizePlacement accepted two SweepOptions arguments")
-	}
 }
 
 // TestSweepValidatesRankCountUpFront pins the up-front validation: every
-// sweep path — fixed pairing or not, wrapper or Machine — must reject a
+// sweep path — fixed pairing or not, on any topology — must reject a
 // bad rank count with the same descriptive smtbalance error style as
 // Placement.validate, instead of a deep enumerator failure.
 func TestSweepValidatesRankCountUpFront(t *testing.T) {
 	odd := Job{Name: "odd", Ranks: sweepTestJob(1000, 2000).Ranks[:3]}
+	m := testMachine(t, nil)
 	for _, space := range []Space{{}, {FixPairing: true}} {
-		_, err := Sweep(odd, space, nil)
+		_, err := m.SweepAll(t.Context(), odd, space, nil)
 		if err == nil {
 			t.Fatalf("odd rank count accepted (FixPairing=%v)", space.FixPairing)
 		}
@@ -244,7 +214,7 @@ func TestSweepValidatesRankCountUpFront(t *testing.T) {
 	six := sweepTestJob(1000, 2000)
 	six.Ranks = append(six.Ranks, six.Ranks[0], six.Ranks[1])
 	for _, space := range []Space{{}, {FixPairing: true}} {
-		_, err := Sweep(six, space, nil)
+		_, err := m.SweepAll(t.Context(), six, space, nil)
 		if err == nil {
 			t.Fatalf("6 ranks on the 4-context default accepted (FixPairing=%v)", space.FixPairing)
 		}
@@ -255,24 +225,21 @@ func TestSweepValidatesRankCountUpFront(t *testing.T) {
 		}
 	}
 
-	if _, err := Sweep(Job{Name: "empty"}, Space{}, nil); err == nil ||
+	if _, err := m.SweepAll(t.Context(), Job{Name: "empty"}, Space{}, nil); err == nil ||
 		!strings.Contains(err.Error(), "no ranks") {
 		t.Errorf("empty job error not descriptive: %v", err)
 	}
 
-	// The same validation guards the Machine path.
-	m, err := NewMachine(&Options{Topology: Topology{Chips: 2, CoresPerChip: 2, SMTWays: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.SweepAll(context.Background(), odd, Space{}, nil); err == nil ||
+	// The same validation guards a multi-chip machine.
+	multi := testMachine(t, &Options{Topology: Topology{Chips: 2, CoresPerChip: 2, SMTWays: 2}})
+	if _, err := multi.SweepAll(t.Context(), odd, Space{}, nil); err == nil ||
 		!strings.Contains(err.Error(), "even rank count") {
 		t.Errorf("Machine.SweepAll odd-count error: %v", err)
 	}
 	// 6 ranks fit a 2-chip machine: the same job that fails above must
 	// enumerate here... except 6 ranks = 3 pairs on 4 cores, which is
 	// valid, so only check it gets past the rank-count validation.
-	if _, err := m.SweepAll(context.Background(), six, Space{FixPairing: true,
+	if _, err := multi.SweepAll(t.Context(), six, Space{FixPairing: true,
 		Priorities: []Priority{PriorityMedium}}, nil); err != nil {
 		t.Errorf("6 ranks rejected on an 8-context machine: %v", err)
 	}
