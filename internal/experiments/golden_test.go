@@ -66,6 +66,17 @@ func goldenArtifacts(ctx context.Context) (map[string]string, error) {
 	}
 	out["scaling"] = FormatScaling(sc)
 
+	dyn, err := DynamicExtension(ctx, goldenOpt)
+	if err != nil {
+		return nil, err
+	}
+	out["dynamic"] = fmt.Sprintf(
+		"Dynamic OS-level balancer (SIESTA with moving bottleneck):\n"+
+			"  no balancing:     %.9fs\n"+
+			"  static best (C):  %.9fs\n"+
+			"  dynamic balancer: %.9fs (%d priority moves)\n",
+		dyn.ReferenceSeconds, dyn.StaticSeconds, dyn.DynamicSeconds, dyn.Moves)
+
 	return out, nil
 }
 
