@@ -344,7 +344,6 @@ func BenchmarkCacheHitSpeedup(b *testing.B) {
 // must agree byte for byte — including the serialized trace — and the
 // fast path must be at least 5x faster; the benchmark fails otherwise,
 // so CI's bench smoke run guards both the speedup and the identity.
-// Record with the README recipe into BENCH_simcore_baseline.json.
 func BenchmarkPhaseSkipSpeedup(b *testing.B) {
 	// Table V BT-MZ zone loads (P1..P4 = 18/24/67/100% of the heaviest),
 	// ring exchanges each iteration and a closing barrier, iterated long
@@ -434,8 +433,7 @@ func BenchmarkPhaseSkipSpeedup(b *testing.B) {
 // the active built-ins.  StaticPolicy's hook must be free — under 2% of
 // the no-policy run — and behaviorally invisible (identical simulated
 // cycles); the benchmark fails otherwise, so CI's bench smoke guards the
-// policy engine's overhead.  Record with the README recipe into
-// BENCH_policy_baseline.json.
+// policy engine's overhead.
 func BenchmarkPolicyOverhead(b *testing.B) {
 	// The Table V BT-MZ load distribution (P1..P4 = 18/24/67/100% of the
 	// heaviest), paired heavy-with-light per core as in the paper's

@@ -28,7 +28,7 @@ Example:
 
     mtbalance serve -addr localhost:8080 -cache-dir /tmp/mtcache &
     mtbalance loadtest -url http://localhost:8080 -c 16 -duration 10s
-    mtbalance loadtest -url http://localhost:8080 -out BENCH_serve_baseline.json
+    mtbalance loadtest -url http://localhost:8080 -out report.json
 
 `
 

@@ -16,9 +16,14 @@
 //	mtbalance -experiment all               # everything
 //
 // Add -check to fail (exit 1) if any experiment loses the paper's shape,
-// -traces to print the per-case timelines, and -scale to shrink/grow the
-// workloads.  Independent experiment cases fan out across a worker pool;
-// -workers 1 forces the old serial behavior.
+// -traces to print the per-case timelines, -trace-dir to export every
+// Tables IV–VI case's trace for external tools, and -scale to
+// shrink/grow the workloads:
+//
+//	mtbalance -experiment table6 -trace-dir out  # out/table6-A.csv, out/table6-A.prv, ...
+//
+// Independent experiment cases fan out across a worker pool; -workers 1
+// forces the old serial behavior.
 //
 // The run subcommand executes one job on a machine of any topology —
 // -chips/-cores/-smt scale the node past the paper's single chip:
@@ -58,7 +63,7 @@
 // absorption (hits, coalesced, disk revivals):
 //
 //	mtbalance loadtest -url http://localhost:8080 -c 16 -duration 10s
-//	mtbalance loadtest -url http://localhost:8080 -out BENCH_serve_baseline.json
+//	mtbalance loadtest -url http://localhost:8080 -out report.json
 //
 // Run `mtbalance run -h` / `mtbalance sweep -h` / `mtbalance matrix -h`
 // / `mtbalance serve -h` / `mtbalance loadtest -h` for the full flag
@@ -69,7 +74,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -98,6 +105,7 @@ func main() {
 		traces     = flag.Bool("traces", false, "print per-case timelines (the paper's figures)")
 		check      = flag.Bool("check", false, "verify the paper's shape and exit non-zero on violation")
 		workers    = flag.Int("workers", 0, "concurrent simulator runs per experiment (0 = one per CPU, 1 = serial)")
+		traceDir   = flag.String("trace-dir", "", "write each table4/5/6 case's trace as DIR/<experiment>-<case>.csv and .prv")
 	)
 	flag.Parse()
 
@@ -153,7 +161,7 @@ func main() {
 		}
 		return nil
 	})
-	caseTable := func(title, ref string, gen func(context.Context, experiments.Options) ([]experiments.CaseResult, error),
+	caseTable := func(name, title, ref string, gen func(context.Context, experiments.Options) ([]experiments.CaseResult, error),
 		chk func([]experiments.CaseResult) error) func() error {
 		return func() error {
 			cases, err := gen(ctx, opt)
@@ -167,15 +175,20 @@ func main() {
 					fmt.Printf("case %s:\n%s\n", c.Case, c.TraceText)
 				}
 			}
+			if *traceDir != "" {
+				if err := writeTraces(*traceDir, name, cases); err != nil {
+					return err
+				}
+			}
 			if *check {
 				return chk(cases)
 			}
 			return nil
 		}
 	}
-	run("table4", caseTable("Table IV — MetBench (Figure 2)", "A", experiments.Table4, experiments.CheckTable4))
-	run("table5", caseTable("Table V — BT-MZ (Figure 3)", "A", experiments.Table5, experiments.CheckTable5))
-	run("table6", caseTable("Table VI — SIESTA (Figure 4)", "A", experiments.Table6, experiments.CheckTable6))
+	run("table4", caseTable("table4", "Table IV — MetBench (Figure 2)", "A", experiments.Table4, experiments.CheckTable4))
+	run("table5", caseTable("table5", "Table V — BT-MZ (Figure 3)", "A", experiments.Table5, experiments.CheckTable5))
+	run("table6", caseTable("table6", "Table VI — SIESTA (Figure 4)", "A", experiments.Table6, experiments.CheckTable6))
 	run("kernelpatch", func() error {
 		r, err := experiments.KernelPatchAblation(ctx, opt)
 		if err != nil {
@@ -245,4 +258,32 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
+}
+
+// writeTraces exports each case's interval trace as
+// dir/<experiment>-<case>.csv and .prv.
+func writeTraces(dir, experiment string, cases []experiments.CaseResult) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, c := range cases {
+		base := filepath.Join(dir, experiment+"-"+c.Case)
+		for _, out := range []struct {
+			ext   string
+			write func(io.Writer) error
+		}{{".csv", c.Trace.WriteCSV}, {".prv", c.Trace.WritePRV}} {
+			f, err := os.Create(base + out.ext)
+			if err != nil {
+				return err
+			}
+			err = out.write(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -130,7 +130,7 @@ func matrixMain(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "matrix: %d/%d cells\n", done, total)
 		}
 	}
-	res, err := smtbalance.EvalMatrixAll(context.Background(), spec, opts)
+	res, err := smtbalance.NewMatrix().EvalAll(context.Background(), spec, opts)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1

@@ -1,25 +1,24 @@
 package core
 
-import (
-	"repro/internal/hwpri"
-	"repro/internal/mpisim"
-)
+import "repro/internal/mpisim"
 
-// DynamicConfig parameterizes the online balancer.
+// DynamicConfig parameterizes the online balancer.  Every value is used
+// as given: the defaults live with the policies that build one
+// (smtbalance.PaperDynamic).
 type DynamicConfig struct {
 	// CPU maps rank -> logical CPU (the job's placement); ranks sharing
 	// a core (cpu/2) form a balancing pair.
 	CPU []int
 	// Threshold is the relative arrival gap (gap / iteration length)
-	// above which the balancer reacts.  Default 0.05.
+	// above which the balancer reacts.
 	Threshold float64
-	// MaxDiff bounds the priority difference; the paper's Case D results
-	// (Section VII-A) show the penalty grows exponentially, so the
-	// default stays at 3.
+	// MaxDiff bounds the priority difference, at most 4 (the ladder's
+	// top); the paper's Case D results (Section VII-A) show the penalty
+	// grows exponentially.
 	MaxDiff int
 	// Hysteresis is the number of consecutive iterations the imbalance
 	// must point the same way before the balancer moves, damping
-	// oscillation and startup transients.  Default 2.
+	// oscillation and startup transients.
 	Hysteresis int
 }
 
@@ -31,15 +30,9 @@ type DynamicConfig struct {
 // imbalance inverts.  It is application-agnostic and fully transparent —
 // exactly the OS-level mechanism the paper argues for in Section VIII.
 type Dynamic struct {
-	cfg   DynamicConfig
-	pairs [][2]int // rank pairs sharing a core
-	// diff is the current signed priority difference per pair: positive
-	// favors pairs[i][0].
-	diff []int
-	// streak counts consecutive iterations the imbalance pointed in
-	// lastDir's direction.
-	streak  []int
-	lastDir []int
+	*Ladder
+	threshold float64
+	maxDiff   int
 	// lastRelease is the previous barrier release cycle.
 	lastRelease int64
 	// Moves counts priority rewrites performed (for reporting).
@@ -48,117 +41,37 @@ type Dynamic struct {
 
 // NewDynamic builds a dynamic balancer for the given placement.
 func NewDynamic(cfg DynamicConfig) *Dynamic {
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = 0.05
+	return &Dynamic{
+		Ladder:    NewLadder(cfg.CPU, cfg.Hysteresis),
+		threshold: cfg.Threshold,
+		maxDiff:   cfg.MaxDiff,
 	}
-	if cfg.MaxDiff <= 0 {
-		cfg.MaxDiff = 3
-	}
-	if cfg.MaxDiff > 4 {
-		cfg.MaxDiff = 4
-	}
-	if cfg.Hysteresis <= 0 {
-		cfg.Hysteresis = 2
-	}
-	d := &Dynamic{cfg: cfg}
-	byCore := map[int][]int{}
-	maxCore := 0
-	for rank, cpu := range cfg.CPU {
-		byCore[cpu/2] = append(byCore[cpu/2], rank)
-		if cpu/2 > maxCore {
-			maxCore = cpu / 2
-		}
-	}
-	// Walk cores up to the highest one actually used: a placement may
-	// pin its ranks to high core indices (e.g. a 2-rank job on the
-	// second chip), and those pairs must be managed too.
-	for core := 0; core <= maxCore; core++ {
-		if ranks := byCore[core]; len(ranks) == 2 {
-			d.pairs = append(d.pairs, [2]int{ranks[0], ranks[1]})
-		}
-	}
-	d.diff = make([]int, len(d.pairs))
-	d.streak = make([]int, len(d.pairs))
-	d.lastDir = make([]int, len(d.pairs))
-	return d
-}
-
-// Pairs returns the rank pairs the balancer manages.
-func (d *Dynamic) Pairs() [][2]int { return d.pairs }
-
-// Diffs returns the current signed priority difference per pair.
-func (d *Dynamic) Diffs() []int { return append([]int(nil), d.diff...) }
-
-// Action is one priority write a balancing decision requests: set rank
-// Rank's hardware thread priority to Prio through the procfs interface.
-type Action struct {
-	Rank int
-	Prio hwpri.Priority
 }
 
 // Observe consumes one iteration's observations (per-rank compute
 // cycles, barrier arrival cycles, the release cycle) and returns the
-// priority writes to perform, grouped per pair in (favored rank first)
-// order.  It is the pure decision half of the balancer: the caller — the
-// mpisim OnIteration adapter below, or the public policy engine — owns
-// applying the actions through the kernel.
+// priority writes to perform, two per moved pair.  It is the pure
+// decision half of the balancer: the caller — the mpisim OnIteration
+// adapter below, or the public policy engine — owns applying the
+// actions through the kernel.
 func (d *Dynamic) Observe(compute, arrival []int64, release int64) []Action {
 	iterLen := release - d.lastRelease
 	d.lastRelease = release
 	if iterLen <= 0 {
 		return nil
 	}
+	// Prefer the per-rank computation time (what the paper's OS
+	// balancer would sample); barrier arrival can be synchronized by
+	// exchange coupling and carries no per-rank signal then.
+	signal := compute
+	if signal == nil {
+		signal = arrival
+	}
 	var acts []Action
-	for i, pair := range d.pairs {
-		a, b := pair[0], pair[1]
-		// Prefer the per-rank computation time (what the paper's OS
-		// balancer would sample); barrier arrival can be synchronized
-		// by exchange coupling and carries no per-rank signal then.
-		signal := compute
-		if signal == nil {
-			signal = arrival
-		}
-		gap := float64(signal[a]-signal[b]) / float64(iterLen)
-		// gap > 0: rank a is the pair's bottleneck.
-		dir := 0
-		switch {
-		case gap > d.cfg.Threshold:
-			dir = 1
-		case gap < -d.cfg.Threshold:
-			dir = -1
-		}
-		if dir == 0 {
-			d.streak[i], d.lastDir[i] = 0, 0
-			continue
-		}
-		if dir != d.lastDir[i] {
-			d.lastDir[i] = dir
-			d.streak[i] = 1
-		} else {
-			d.streak[i]++
-		}
-		if d.streak[i] < d.cfg.Hysteresis {
-			continue
-		}
-		d.streak[i] = 0
-		want := d.diff[i] + dir
-		if want > d.cfg.MaxDiff {
-			want = d.cfg.MaxDiff
-		}
-		if want < -d.cfg.MaxDiff {
-			want = -d.cfg.MaxDiff
-		}
-		if want == d.diff[i] {
-			continue
-		}
-		d.diff[i] = want
-		var pa, pb hwpri.Priority
-		if want >= 0 {
-			pa, pb = PrioritiesFor(want)
-		} else {
-			pb, pa = PrioritiesFor(-want)
-		}
-		acts = append(acts, Action{Rank: a, Prio: pa}, Action{Rank: b, Prio: pb})
+	for i, pair := range d.Pairs() {
+		// gap > 0: rank pair[0] is the pair's bottleneck.
+		gap := float64(signal[pair[0]]-signal[pair[1]]) / float64(iterLen)
+		acts = append(acts, d.Step(i, GapDir(gap, d.threshold), d.maxDiff)...)
 	}
 	return acts
 }

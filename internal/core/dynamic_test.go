@@ -53,8 +53,14 @@ func shiftingJob(iters, block int) *mpisim.Job {
 	return job
 }
 
+// testDynamic is the balancer configuration these tests were written
+// for: threshold 0.05, differences up to 3, hysteresis 2.
+func testDynamic(cpu []int) DynamicConfig {
+	return DynamicConfig{CPU: cpu, Threshold: 0.05, MaxDiff: 3, Hysteresis: 2}
+}
+
 func TestNewDynamicPairs(t *testing.T) {
-	d := NewDynamic(DynamicConfig{CPU: []int{0, 1, 2, 3}})
+	d := NewDynamic(testDynamic([]int{0, 1, 2, 3}))
 	if len(d.Pairs()) != 2 {
 		t.Fatalf("pairs = %v, want 2 pairs", d.Pairs())
 	}
@@ -62,14 +68,22 @@ func TestNewDynamicPairs(t *testing.T) {
 		t.Errorf("pair 0 = %v, want ranks 0,1 (CPUs 0,1 share core 0)", p)
 	}
 	// Cross-placed ranks pair by core, not by rank number.
-	d2 := NewDynamic(DynamicConfig{CPU: []int{0, 2, 3, 1}})
+	d2 := NewDynamic(testDynamic([]int{0, 2, 3, 1}))
 	if p := d2.Pairs()[0]; p[0] != 0 || p[1] != 3 {
 		t.Errorf("pair 0 = %v, want ranks 0,3", p)
 	}
 	// Unpaired ranks (ST placement) yield no pairs.
-	d3 := NewDynamic(DynamicConfig{CPU: []int{0, 2}})
+	d3 := NewDynamic(testDynamic([]int{0, 2}))
 	if len(d3.Pairs()) != 0 {
 		t.Error("ST placement must have no balancing pairs")
+	}
+	// Cores are walked up to the highest one in use, and a core holding
+	// a lone rank yields no pair.
+	if p := NewDynamic(testDynamic([]int{6, 7})).Pairs(); len(p) != 1 || p[0] != [2]int{0, 1} {
+		t.Errorf("pairs on core 3 = %v, want [[0 1]]", p)
+	}
+	if p := NewDynamic(testDynamic([]int{0, 5, 4})).Pairs(); len(p) != 1 || p[0] != [2]int{1, 2} {
+		t.Errorf("pairs with a lone rank on core 0 = %v, want [[1 2]]", p)
 	}
 }
 
@@ -78,7 +92,7 @@ func TestNewDynamicPairs(t *testing.T) {
 func TestDynamicConvergesOnSteadyImbalance(t *testing.T) {
 	job := steadyJob([]int64{4000, 16000, 4000, 16000}, 12)
 	pl := mpisim.DefaultPlacement(4)
-	bal := NewDynamic(DynamicConfig{CPU: pl.CPU})
+	bal := NewDynamic(testDynamic(pl.CPU))
 	cfg := quietCfg()
 	cfg.OnIteration = bal.OnIteration
 	res, err := mpisim.RunCtx(t.Context(), job, pl, cfg)
@@ -115,7 +129,7 @@ func TestDynamicTracksShiftingBottleneck(t *testing.T) {
 	job := shiftingJob(32, 8)
 	pl := mpisim.DefaultPlacement(4)
 
-	bal := NewDynamic(DynamicConfig{CPU: pl.CPU})
+	bal := NewDynamic(testDynamic(pl.CPU))
 	cfg := quietCfg()
 	var diffTrail []int
 	cfg.OnIteration = func(ev mpisim.IterationEvent) {
@@ -156,7 +170,7 @@ func TestDynamicTracksShiftingBottleneck(t *testing.T) {
 func TestDynamicStaysPutWhenBalanced(t *testing.T) {
 	job := steadyJob([]int64{8000, 8000, 8000, 8000}, 8)
 	pl := mpisim.DefaultPlacement(4)
-	bal := NewDynamic(DynamicConfig{CPU: pl.CPU})
+	bal := NewDynamic(testDynamic(pl.CPU))
 	cfg := quietCfg()
 	cfg.OnIteration = bal.OnIteration
 	if _, err := mpisim.RunCtx(t.Context(), job, pl, cfg); err != nil {
@@ -171,7 +185,9 @@ func TestDynamicStaysPutWhenBalanced(t *testing.T) {
 func TestDynamicRespectsMaxDiff(t *testing.T) {
 	job := steadyJob([]int64{1000, 64000, 1000, 64000}, 10)
 	pl := mpisim.DefaultPlacement(4)
-	bal := NewDynamic(DynamicConfig{CPU: pl.CPU, MaxDiff: 2})
+	dc := testDynamic(pl.CPU)
+	dc.MaxDiff = 2
+	bal := NewDynamic(dc)
 	cfg := quietCfg()
 	cfg.OnIteration = bal.OnIteration
 	if _, err := mpisim.RunCtx(t.Context(), job, pl, cfg); err != nil {
@@ -190,7 +206,7 @@ func TestDynamicRespectsMaxDiff(t *testing.T) {
 func TestDynamicInertOnVanillaKernel(t *testing.T) {
 	job := steadyJob([]int64{4000, 16000, 4000, 16000}, 6)
 	pl := mpisim.DefaultPlacement(4)
-	bal := NewDynamic(DynamicConfig{CPU: pl.CPU})
+	bal := NewDynamic(testDynamic(pl.CPU))
 	cfg := quietCfg()
 	cfg.Kernel = oskernel.Config{Patched: false}
 	cfg.OnIteration = bal.OnIteration
@@ -204,7 +220,9 @@ func TestDynamicInertOnVanillaKernel(t *testing.T) {
 
 func TestDynamicHysteresis(t *testing.T) {
 	// With hysteresis 3, a single imbalanced iteration must not trigger.
-	d := NewDynamic(DynamicConfig{CPU: []int{0, 1}, Hysteresis: 3})
+	dc := testDynamic([]int{0, 1})
+	dc.Hysteresis = 3
+	d := NewDynamic(dc)
 	if len(d.Pairs()) != 1 {
 		t.Fatal("expected one pair")
 	}

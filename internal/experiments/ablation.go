@@ -136,7 +136,7 @@ func DynamicExtension(ctx context.Context, opt Options) (*DynamicResult, error) 
 	// change.  The wider deadband keeps the similarly-loaded P2/P3 pair
 	// from toggling on noise.
 	pl := mpisim.Placement{CPU: plC.CPU, Prio: mpisim.DefaultPlacement(4).Prio}
-	bal := core.NewDynamic(core.DynamicConfig{CPU: pl.CPU, MaxDiff: 1, Threshold: 0.09})
+	bal := core.NewDynamic(core.DynamicConfig{CPU: pl.CPU, Threshold: 0.09, MaxDiff: 1, Hysteresis: 2})
 	dyn, err := mpisim.RunCtx(ctx, job, pl, mpisim.Config{OnIteration: bal.OnIteration})
 	if err != nil {
 		return nil, err

@@ -20,6 +20,7 @@ import (
 	"repro/internal/oskernel"
 	"repro/internal/power5"
 	"repro/internal/sweep"
+	"repro/internal/trace"
 )
 
 // Options tunes experiment execution.
@@ -85,6 +86,9 @@ type CaseResult struct {
 	Ranks []RankRow
 	// TraceText is the rendered timeline (the case's Figure panel).
 	TraceText string
+	// Trace is the raw interval trace behind TraceText, for CSV and
+	// PARAVER export.
+	Trace *trace.Trace
 	// Cycles is the raw simulated cycle count.
 	Cycles int64
 }
@@ -106,6 +110,7 @@ func runCase(ctx context.Context, job *mpisim.Job, pl mpisim.Placement, opt Opti
 		ExecSeconds:  res.Seconds,
 		ImbalancePct: res.Imbalance,
 		TraceText:    res.Trace.Render(opt.TraceWidth),
+		Trace:        res.Trace,
 		Cycles:       res.Cycles,
 	}
 	for r, rr := range res.Ranks {

@@ -205,7 +205,8 @@ type RankResult struct {
 	Core int `json:"core"`
 	// Chip locates the core's chip.
 	Chip int `json:"chip"`
-	// Priority is the rank's final hardware thread priority.
+	// Priority is the rank's launch hardware thread priority; a
+	// balancing policy's later rewrites are not reflected here.
 	Priority int `json:"priority"`
 	// ComputePct is the share of time spent computing.
 	ComputePct float64 `json:"compute_pct"`
@@ -312,7 +313,7 @@ type SweepDone struct {
 
 // MatrixRequest is the POST /v1/matrix body: every policy evaluated on
 // every scenario on every topology, scored by speedup over the static
-// control (see smtbalance.EvalMatrix).
+// control (see smtbalance.Matrix.Eval).
 type MatrixRequest struct {
 	// Scenarios are ParseScenario specifications, e.g. "uniform",
 	// "ramp,skew=3".  Required.

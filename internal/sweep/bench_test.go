@@ -46,9 +46,8 @@ func BenchmarkSweepWorkers(b *testing.B) {
 // so the speedup must reach at least 0.7x the core count (gated; on a
 // single-core machine the gate degenerates to "parallel dispatch costs
 // under 30%").  The per-topology `configs` metric records how much work
-// the chip/core symmetry pruning leaves.  Record with the README recipe
-// — explicitly without -cpu / GOMAXPROCS caps — into
-// BENCH_simcore_baseline.json.
+// the chip/core symmetry pruning leaves.  Run it without -cpu /
+// GOMAXPROCS caps, or the gate measures the cap.
 func BenchmarkSweepSpeedup(b *testing.B) {
 	for _, tc := range []struct {
 		name string

@@ -6,7 +6,6 @@ import (
 	"io"
 	"iter"
 	"strings"
-	"sync"
 )
 
 // MatrixSpec describes an evaluation matrix: every policy evaluated on
@@ -320,21 +319,4 @@ func (mx *Matrix) EvalAll(ctx context.Context, spec MatrixSpec, opts *MatrixOpti
 	}
 	out.Cells = topos * len(spec.Scenarios)
 	return out, nil
-}
-
-// defaultMatrix backs the package-level EvalMatrix wrappers so repeated
-// evaluations share one engine (and its caches) process-wide.
-var defaultMatrix = sync.OnceValue(NewMatrix)
-
-// EvalMatrix evaluates the matrix on a shared package-level engine and
-// streams its entries; see Matrix.Eval.  Callers wanting an isolated
-// cell cache (or control over its lifetime) should hold their own
-// engine via NewMatrix.
-func EvalMatrix(ctx context.Context, spec MatrixSpec, opts *MatrixOptions) iter.Seq2[MatrixEntry, error] {
-	return defaultMatrix().Eval(ctx, spec, opts)
-}
-
-// EvalMatrixAll is EvalMatrix collected into a MatrixResult.
-func EvalMatrixAll(ctx context.Context, spec MatrixSpec, opts *MatrixOptions) (*MatrixResult, error) {
-	return defaultMatrix().EvalAll(ctx, spec, opts)
 }

@@ -1,6 +1,7 @@
 package smtbalance
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strconv"
@@ -8,7 +9,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/hwpri"
 )
 
 // PriorityAction is one priority rewrite a balancing policy requests:
@@ -243,7 +243,7 @@ func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // orInt and orFloat resolve a policy field's zero value to its default;
 // clampDiff additionally bounds a priority difference at the
-// architectural maximum of 4, mirroring core.NewDynamic.
+// architectural maximum of 4.
 func orInt(v, def int) int {
 	if v <= 0 {
 		return def
@@ -332,48 +332,13 @@ func init() {
 	}
 }
 
-// pairsOf groups the placement's ranks by the core they share, in core
-// order — the balancing unit of every built-in policy (the POWER5
-// priority mechanism arbitrates decode cycles between the two contexts
-// of one core and nothing else).
-func pairsOf(topo Topology, pl Placement) [][2]int {
-	topo = topo.normalized()
-	ways := topo.SMTWays
-	if ways <= 0 {
-		ways = 2
+// priorityActions converts a ladder's writes to the public form.
+func priorityActions(acts []core.Action) []PriorityAction {
+	out := make([]PriorityAction, len(acts))
+	for i, a := range acts {
+		out[i] = PriorityAction{Rank: a.Rank, Priority: Priority(a.Prio)}
 	}
-	byCore := make(map[int][]int)
-	maxCore := 0
-	for rank, cpu := range pl.CPU {
-		c := cpu / ways
-		byCore[c] = append(byCore[c], rank)
-		if c > maxCore {
-			maxCore = c
-		}
-	}
-	var pairs [][2]int
-	for c := 0; c <= maxCore; c++ {
-		if ranks := byCore[c]; len(ranks) == 2 {
-			pairs = append(pairs, [2]int{ranks[0], ranks[1]})
-		}
-	}
-	return pairs
-}
-
-// pairActions renders a pair's signed priority difference as the two
-// writes implementing it, favored rank first — the paper's Section VI
-// priority ladder (PrioritiesFor).
-func pairActions(pair [2]int, diff int) []PriorityAction {
-	var pa, pb hwpri.Priority
-	if diff >= 0 {
-		pa, pb = core.PrioritiesFor(diff)
-	} else {
-		pb, pa = core.PrioritiesFor(-diff)
-	}
-	return []PriorityAction{
-		{Rank: pair[0], Priority: Priority(pa)},
-		{Rank: pair[1], Priority: Priority(pb)},
-	}
+	return out
 }
 
 // StaticPolicy never moves a priority: the launch placement is the whole
@@ -413,7 +378,7 @@ type PaperDynamic struct {
 	bound *core.Dynamic // per-run instance state (nil on the prototype)
 }
 
-// effective returns the defaulted parameters, mirroring core.NewDynamic.
+// effective returns the defaulted parameters.
 func (p *PaperDynamic) effective() (maxDiff int, threshold float64, hysteresis int) {
 	return clampDiff(p.MaxDiff, 1), orFloat(p.Threshold, 0.05), orInt(p.Hysteresis, 2)
 }
@@ -431,7 +396,7 @@ func (p *PaperDynamic) Bind(topo Topology, pl Placement) Policy {
 	maxDiff, threshold, hysteresis := p.effective()
 	cp := *p
 	cp.bound = core.NewDynamic(core.DynamicConfig{
-		CPU:        append([]int(nil), pl.CPU...),
+		CPU:        pl.CPU,
 		Threshold:  threshold,
 		MaxDiff:    maxDiff,
 		Hysteresis: hysteresis,
@@ -444,12 +409,7 @@ func (p *PaperDynamic) Observe(st IterationStats) []PriorityAction {
 	if p.bound == nil {
 		return nil // unbound prototype: identity only
 	}
-	acts := p.bound.Observe(st.ComputeCycles, st.ArrivalCycle, st.ReleaseCycle)
-	out := make([]PriorityAction, 0, len(acts))
-	for _, a := range acts {
-		out = append(out, PriorityAction{Rank: a.Rank, Priority: Priority(a.Prio)})
-	}
-	return out
+	return priorityActions(p.bound.Observe(st.ComputeCycles, st.ArrivalCycle, st.ReleaseCycle))
 }
 
 // HierarchicalPolicy balances at two levels of the machine's topology,
@@ -477,12 +437,9 @@ type HierarchicalPolicy struct {
 
 // hierRun is HierarchicalPolicy's per-run state.
 type hierRun struct {
-	pairs       [][2]int
+	ladder      *core.Ladder
 	chipOfPair  []int
 	chips       int
-	diff        []int
-	streak      []int
-	lastDir     []int
 	lastRelease int64
 }
 
@@ -501,17 +458,11 @@ func (p *HierarchicalPolicy) Params() map[string]string {
 
 // Bind implements PolicyBinder.
 func (p *HierarchicalPolicy) Bind(topo Topology, pl Placement) Policy {
+	_, _, hysteresis := p.effective()
 	topo = topo.normalized()
-	pairs := pairsOf(topo, pl)
-	run := &hierRun{
-		pairs:      pairs,
-		chipOfPair: make([]int, len(pairs)),
-		chips:      topo.Chips,
-		diff:       make([]int, len(pairs)),
-		streak:     make([]int, len(pairs)),
-		lastDir:    make([]int, len(pairs)),
-	}
-	for i, pair := range pairs {
+	ladder := core.NewLadder(pl.CPU, hysteresis)
+	run := &hierRun{ladder: ladder, chipOfPair: make([]int, len(ladder.Pairs())), chips: topo.Chips}
+	for i, pair := range ladder.Pairs() {
 		chip, _, _ := topo.Locate(pl.CPU[pair[0]])
 		run.chipOfPair[i] = chip
 	}
@@ -526,7 +477,7 @@ func (p *HierarchicalPolicy) Observe(st IterationStats) []PriorityAction {
 	if r == nil {
 		return nil
 	}
-	maxDiff, threshold, hysteresis := p.effective()
+	maxDiff, threshold, _ := p.effective()
 	iterLen := st.ReleaseCycle - r.lastRelease
 	r.lastRelease = st.ReleaseCycle
 	if iterLen <= 0 {
@@ -540,7 +491,7 @@ func (p *HierarchicalPolicy) Observe(st IterationStats) []PriorityAction {
 	// Coarse level: each chip's critical path is its slowest rank this
 	// iteration; the machine's critical path is the slowest chip.
 	chipMax := make([]int64, r.chips)
-	for i, pair := range r.pairs {
+	for i, pair := range r.ladder.Pairs() {
 		chip := r.chipOfPair[i]
 		for _, rank := range [2]int{pair[0], pair[1]} {
 			if rank < len(signal) && signal[rank] > chipMax[chip] {
@@ -556,58 +507,28 @@ func (p *HierarchicalPolicy) Observe(st IterationStats) []PriorityAction {
 	}
 
 	// Fine level: per-core gap balancing within the chip's budget.
-	var acts []PriorityAction
-	for i, pair := range r.pairs {
+	var acts []core.Action
+	for i, pair := range r.ladder.Pairs() {
 		budget := 1
 		if float64(chipMax[r.chipOfPair[i]]) >= float64(globalMax)*(1-threshold) {
 			budget = maxDiff // this chip bounds the machine: full authority
 		}
-		a, b := pair[0], pair[1]
-		gap := float64(signal[a]-signal[b]) / float64(iterLen)
-		dir := 0
-		switch {
-		case gap > threshold:
-			dir = 1
-		case gap < -threshold:
-			dir = -1
-		}
+		gap := float64(signal[pair[0]]-signal[pair[1]]) / float64(iterLen)
+		dir := core.GapDir(gap, threshold)
 		// A diff beyond the (possibly shrunk) budget is walked back even
 		// when the pair looks balanced: the slack chip must not keep an
 		// aggressive skew it no longer needs.
-		if dir == 0 && r.diff[i] > budget {
-			dir = -1
-		}
-		if dir == 0 && r.diff[i] < -budget {
-			dir = 1
-		}
 		if dir == 0 {
-			r.streak[i], r.lastDir[i] = 0, 0
-			continue
+			switch d := r.ladder.Diff(i); {
+			case d > budget:
+				dir = -1
+			case d < -budget:
+				dir = 1
+			}
 		}
-		if dir != r.lastDir[i] {
-			r.lastDir[i] = dir
-			r.streak[i] = 1
-		} else {
-			r.streak[i]++
-		}
-		if r.streak[i] < hysteresis {
-			continue
-		}
-		r.streak[i] = 0
-		want := r.diff[i] + dir
-		if want > budget {
-			want = budget
-		}
-		if want < -budget {
-			want = -budget
-		}
-		if want == r.diff[i] {
-			continue
-		}
-		r.diff[i] = want
-		acts = append(acts, pairActions(pair, want)...)
+		acts = append(acts, r.ladder.Step(i, dir, budget)...)
 	}
-	return acts
+	return priorityActions(acts)
 }
 
 // FeedbackPolicy is a proportional controller on each pair's
@@ -630,15 +551,7 @@ type FeedbackPolicy struct {
 	// must want the same direction before moving.  Default 2.
 	Hysteresis int
 
-	run *feedbackRun // per-run state (nil on the prototype)
-}
-
-// feedbackRun is FeedbackPolicy's per-run state.
-type feedbackRun struct {
-	pairs   [][2]int
-	diff    []int
-	streak  []int
-	lastDir []int
+	ladder *core.Ladder // per-run state (nil on the prototype)
 }
 
 // effective returns the defaulted parameters.
@@ -662,41 +575,36 @@ func (p *FeedbackPolicy) Params() map[string]string {
 
 // Bind implements PolicyBinder.
 func (p *FeedbackPolicy) Bind(topo Topology, pl Placement) Policy {
-	pairs := pairsOf(topo, pl)
+	_, _, _, hysteresis := p.effective()
 	cp := *p
-	cp.run = &feedbackRun{
-		pairs:   pairs,
-		diff:    make([]int, len(pairs)),
-		streak:  make([]int, len(pairs)),
-		lastDir: make([]int, len(pairs)),
-	}
+	cp.ladder = core.NewLadder(pl.CPU, hysteresis)
 	return &cp
 }
 
 // Observe implements Policy.
 func (p *FeedbackPolicy) Observe(st IterationStats) []PriorityAction {
-	r := p.run
-	if r == nil {
+	l := p.ladder
+	if l == nil {
 		return nil
 	}
-	gain, deadband, maxDiff, hysteresis := p.effective()
+	gain, deadband, maxDiff, _ := p.effective()
 	signal := st.ComputeCycles
 	if signal == nil {
 		signal = st.ArrivalCycle
 	}
-	var acts []PriorityAction
-	for i, pair := range r.pairs {
+	var acts []core.Action
+	for i, pair := range l.Pairs() {
 		a, b := pair[0], pair[1]
 		if a >= len(signal) || b >= len(signal) {
 			continue
 		}
 		sum := float64(signal[a] + signal[b])
 		if sum <= 0 {
-			r.streak[i], r.lastDir[i] = 0, 0
+			l.Step(i, 0, maxDiff) // no signal: reset the streak
 			continue
 		}
 		err := float64(signal[a]-signal[b]) / sum
-		target := r.diff[i]
+		target := 0 // balanced: relax any skew back out
 		if err > deadband || err < -deadband {
 			// Proportional term, rounded to whole priority steps.
 			t := gain * err
@@ -705,38 +613,9 @@ func (p *FeedbackPolicy) Observe(st IterationStats) []PriorityAction {
 			} else {
 				target = int(t - 0.5)
 			}
-			if target > maxDiff {
-				target = maxDiff
-			}
-			if target < -maxDiff {
-				target = -maxDiff
-			}
-		} else if r.diff[i] != 0 {
-			target = 0 // balanced: relax the skew back out
+			target = min(max(target, -maxDiff), maxDiff)
 		}
-		dir := 0
-		switch {
-		case target > r.diff[i]:
-			dir = 1
-		case target < r.diff[i]:
-			dir = -1
-		}
-		if dir == 0 {
-			r.streak[i], r.lastDir[i] = 0, 0
-			continue
-		}
-		if dir != r.lastDir[i] {
-			r.lastDir[i] = dir
-			r.streak[i] = 1
-		} else {
-			r.streak[i]++
-		}
-		if r.streak[i] < hysteresis {
-			continue
-		}
-		r.streak[i] = 0
-		r.diff[i] += dir
-		acts = append(acts, pairActions(pair, r.diff[i])...)
+		acts = append(acts, l.Step(i, cmp.Compare(target, l.Diff(i)), maxDiff)...)
 	}
-	return acts
+	return priorityActions(acts)
 }
