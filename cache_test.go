@@ -201,7 +201,8 @@ func TestSweepSharesDiskCache(t *testing.T) {
 
 // TestDiskCacheCorruptRecordDegrades truncates a persisted record and
 // checks the cache degrades to a re-simulation instead of serving (or
-// choking on) garbage.
+// choking on) garbage, and that the re-simulation heals the record: once
+// the memory tier is cleared, the next request is a disk hit.
 func TestDiskCacheCorruptRecordDegrades(t *testing.T) {
 	dir := t.TempDir()
 	job := Job{Ranks: [][]Phase{
@@ -260,6 +261,22 @@ func TestDiskCacheCorruptRecordDegrades(t *testing.T) {
 	}
 	if sims := st.Misses - st.Coalesced - st.DiskHits; sims != 1 {
 		t.Errorf("corrupt record should force exactly 1 simulation, got %d (%+v)", sims, st)
+	}
+
+	m2.ClearCache()
+	healed, err := m2.Run(context.Background(), job, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if healed.Cycles != first.Cycles {
+		t.Errorf("healed record differs: %d vs %d cycles", healed.Cycles, first.Cycles)
+	}
+	st2 := m2.CacheStats()
+	if st2.DiskHits-st.DiskHits != 1 {
+		t.Errorf("request after the re-simulation was not a disk hit: %+v", st2)
+	}
+	if sims := (st2.Misses - st2.Coalesced - st2.DiskHits) - (st.Misses - st.Coalesced - st.DiskHits); sims != 0 {
+		t.Errorf("request after the re-simulation ran %d simulations, want 0 (%+v)", sims, st2)
 	}
 }
 

@@ -107,10 +107,26 @@ func (s *Store) Put(key string, data []byte) error {
 	if err := checkKey(key); err != nil {
 		return err
 	}
-	p := s.path(key)
-	if _, err := os.Stat(p); err == nil {
+	if _, err := os.Stat(s.path(key)); err == nil {
 		return nil // write-once: the record is already there
 	}
+	return s.write(key, data)
+}
+
+// Replace stores data under key atomically, as Put does, even when a
+// record already exists.  It is for a caller that read the record and
+// could not decode it: write-once would keep the bad record forever.
+func (s *Store) Replace(key string, data []byte) error {
+	if err := checkKey(key); err != nil {
+		return err
+	}
+	return s.write(key, data)
+}
+
+// write writes a record to a temporary file and renames it over key's
+// record file.
+func (s *Store) write(key string, data []byte) error {
+	p := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return fmt.Errorf("diskcache: %w", err)
 	}

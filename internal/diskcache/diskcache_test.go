@@ -40,6 +40,32 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplaceOverwrites checks Replace rewrites an existing record that
+// Put would leave alone, through the same atomic rename.
+func TestReplaceOverwrites(t *testing.T) {
+	s, err := Open(t.TempDir(), "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := "0123abcd-run"
+	if err := s.Put(key, []byte("garbage")); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte(`{"cycles": 42}`)
+	if err := s.Replace(key, want); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := s.Get(key); err != nil || !ok || !bytes.Equal(got, want) {
+		t.Fatalf("Get after Replace = %q, ok %v, err %v", got, ok, err)
+	}
+	if err := s.Replace("../x", want); err == nil {
+		t.Error("Replace accepted an invalid key")
+	}
+	if n, err := s.Len(); n != 1 || err != nil {
+		t.Errorf("Len = %d, %v; want the one record", n, err)
+	}
+}
+
 func TestVersionIsolation(t *testing.T) {
 	root := t.TempDir()
 	s1, err := Open(root, "v1")

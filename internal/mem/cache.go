@@ -7,7 +7,11 @@
 // the shared levels, which this model captures.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"math/bits"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -42,11 +46,19 @@ type Cache struct {
 	sets      int
 	lineShift uint
 	setMask   uint64
-	// tags and stamps are sets×ways, flattened.  stamp 0 = invalid.
+	// tags and stamps are sets×ways, flattened.  stamp 0 = invalid,
+	// and a way's tag is read only when its stamp is non-zero, so the
+	// tags of invalid ways are never cleared: a flushed (or recycled)
+	// cache may carry stale tags harmlessly.
 	tags   []uint64
 	stamps []uint64
-	clock  uint64
-	stats  Stats
+	// live has one bit per set, set once the set holds a valid line.  A
+	// set becomes non-empty only through a miss that fills an invalid
+	// way, and only Flush empties it again, so FFNorm and Flush visit
+	// the resident footprint instead of the whole geometry.
+	live  []uint64
+	clock uint64
+	stats Stats
 }
 
 // New builds a cache from cfg, validating its geometry.
@@ -76,6 +88,7 @@ func New(cfg Config) (*Cache, error) {
 		setMask:   uint64(sets - 1),
 		tags:      make([]uint64, sets*cfg.Ways),
 		stamps:    make([]uint64, sets*cfg.Ways),
+		live:      make([]uint64, (sets+63)/64),
 	}, nil
 }
 
@@ -120,6 +133,9 @@ func (c *Cache) Access(addr uint64) bool {
 		}
 	}
 	c.stats.Misses++
+	if victimStamp == 0 { // an invalid way: the set may have been empty
+		c.live[set>>6] |= 1 << (set & 63)
+	}
 	c.tags[victim] = line
 	c.stamps[victim] = c.clock
 	return false
@@ -140,13 +156,29 @@ func (c *Cache) Contains(addr uint64) bool {
 	return false
 }
 
-// Flush invalidates every line and clears statistics.
+// Flush invalidates every line and clears statistics, in time
+// proportional to the live sets.
 func (c *Cache) Flush() {
-	for i := range c.stamps {
-		c.stamps[i] = 0
+	ways := c.cfg.Ways
+	for set := range c.liveSets() {
+		clear(c.stamps[set*ways : (set+1)*ways])
 	}
+	clear(c.live)
 	c.clock = 0
 	c.stats = Stats{}
+}
+
+// liveSets yields every set holding a valid line, in ascending order.
+func (c *Cache) liveSets() iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for i, word := range c.live {
+			for ; word != 0; word &= word - 1 {
+				if !yield(i<<6 + bits.TrailingZeros64(word)) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // Lines returns the total number of lines the cache can hold.

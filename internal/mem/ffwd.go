@@ -19,23 +19,21 @@ import "encoding/binary"
 // keep their order, and future accesses stamp with the (advanced) clock,
 // which exceeds every resident stamp just as in an exact run.
 
-// FFNorm appends the cache's replacement-relevant state.  Fully-invalid
-// sets are skipped (each entry is prefixed with its set index), so the
-// cost scales with the resident footprint, not the cache geometry —
-// essential for the 32 MB L3.
+// FFNorm appends the cache's replacement-relevant state.  Only live sets
+// are visited (each entry is prefixed with its set index), in ascending
+// set order, so the cost scales with the resident footprint, not the
+// cache geometry — essential for the 32 MB L3 — and the bytes are those
+// of a walk over every set that skips the empty ones.
 func (c *Cache) FFNorm(b []byte) []byte {
 	ways := c.cfg.Ways
 	var orderBuf [64]int
-	for set := 0; set < c.sets; set++ {
+	for set := range c.liveSets() {
 		base := set * ways
 		live := 0
 		for w := 0; w < ways; w++ {
 			if c.stamps[base+w] != 0 {
 				live++
 			}
-		}
-		if live == 0 {
-			continue
 		}
 		b = binary.LittleEndian.AppendUint32(b, uint32(set))
 		b = append(b, byte(ways-live))

@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // HierConfig describes the full memory hierarchy of a chip.  The defaults
 // (DefaultHierConfig) follow the POWER5: 32 KB 4-way L1D per core, a
@@ -35,8 +38,24 @@ type Hierarchy struct {
 	cfg HierConfig
 }
 
-// NewHierarchy builds the hierarchy.
+// hierPools maps a HierConfig to the *sync.Pool of released, flushed
+// hierarchies of that configuration.
+var hierPools sync.Map
+
+// NewHierarchy builds the hierarchy, recycling a released one of the
+// same configuration when there is one: a released hierarchy is flushed,
+// so it behaves exactly as a new one.
 func NewHierarchy(cfg HierConfig) (*Hierarchy, error) {
+	if p, ok := hierPools.Load(cfg); ok {
+		if h, ok := p.(*sync.Pool).Get().(*Hierarchy); ok {
+			return h, nil
+		}
+	}
+	return buildHierarchy(cfg)
+}
+
+// buildHierarchy allocates a new hierarchy of cfg.
+func buildHierarchy(cfg HierConfig) (*Hierarchy, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("mem: need at least one core, got %d", cfg.Cores)
 	}
@@ -109,4 +128,16 @@ func (h *Hierarchy) Flush() {
 	}
 	h.l2.Flush()
 	h.l3.Flush()
+}
+
+// Release flushes h, in time proportional to its live cache sets, and
+// hands it to NewHierarchy for reuse.  The caller must hold the only
+// reference and must not use h afterwards.
+func (h *Hierarchy) Release() {
+	h.Flush()
+	p, ok := hierPools.Load(h.cfg)
+	if !ok {
+		p, _ = hierPools.LoadOrStore(h.cfg, new(sync.Pool))
+	}
+	p.(*sync.Pool).Put(h)
 }

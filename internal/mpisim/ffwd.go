@@ -91,9 +91,17 @@ type ffEngine struct {
 	cycles  int64
 }
 
+// ffHash pre-filters snapshot comparisons (a match is confirmed with
+// bytes.Equal), so it need only be deterministic and cheap: it mixes
+// eight bytes per step, then the tail byte by byte.
 func ffHash(b []byte) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
+	const mix = 0x9e3779b97f4a7c15
 	h := uint64(offset64)
+	for ; len(b) >= 8; b = b[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(b)) * mix
+		h ^= h >> 32
+	}
 	for _, c := range b {
 		h = (h ^ uint64(c)) * prime64
 	}

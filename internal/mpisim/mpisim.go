@@ -346,6 +346,9 @@ func RunCtx(ctx context.Context, job *Job, pl Placement, cfg Config) (*Result, e
 	if err != nil {
 		return nil, err
 	}
+	// The run is the machine's only owner, and nothing that outlives it
+	// (Result, trace) refers to the machine.
+	defer mach.Release()
 	seen := make(map[int]bool)
 	for r, cpu := range pl.CPU {
 		if cpu < 0 || cpu >= topo.Contexts() {

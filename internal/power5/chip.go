@@ -326,6 +326,9 @@ func (ch *Chip) latency(coreID int, e *entry) int64 {
 
 // Step advances the chip by one cycle.
 func (ch *Chip) Step() {
+	if ch.hier == nil {
+		panic("power5: chip stepped after its Machine was released")
+	}
 	for id, co := range ch.cores {
 		// A core with no running context and an empty window has nothing
 		// to complete, issue or decode; skip all three stages.

@@ -178,3 +178,29 @@ func TestMachineOnEmptyGlobalCores(t *testing.T) {
 		t.Fatalf("OnEmpty fired for CPUs %v, want {0, 3}", emptied)
 	}
 }
+
+// TestMachineReleasePanicsOnStep checks that a released machine cannot
+// be driven: its chips gave their hierarchies back, so any later Step —
+// direct or through Run — panics instead of touching recycled caches.
+func TestMachineReleasePanicsOnStep(t *testing.T) {
+	for name, step := range map[string]func(*Machine){
+		"Chip.Step":   func(m *Machine) { m.Chip(1).Step() },
+		"Machine.Run": func(m *Machine) { m.Run(1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			m, err := NewMachine(Topology{Chips: 2, CoresPerChip: 2, SMTWays: 2}, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.SetStream(0, 0, workload.NewGen(workload.Load{Kind: workload.L2, N: 1000}))
+			m.Run(100)
+			m.Release()
+			defer func() {
+				if recover() == nil {
+					t.Error("stepping a released machine did not panic")
+				}
+			}()
+			step(m)
+		})
+	}
+}

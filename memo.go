@@ -175,7 +175,7 @@ func (m *memo[K, V]) Do(ctx context.Context, key K, compute func() (V, error)) (
 // stores the value, so a caller arriving after it finds the memory
 // entry rather than a spent flight.
 func (m *memo[K, V]) lead(key K, f *flight[V], disk *diskcache.Store, compute func() (V, error)) (V, error) {
-	v, revived := m.revive(disk, key)
+	v, revived, corrupt := m.revive(disk, key)
 	var err error
 	if !revived {
 		v, err = compute()
@@ -195,7 +195,7 @@ func (m *memo[K, V]) lead(key K, f *flight[V], disk *diskcache.Store, compute fu
 	delete(m.flights, key)
 	m.mu.Unlock()
 	if err == nil && !revived {
-		m.persist(disk, key, held)
+		m.persist(disk, key, held, corrupt)
 	}
 	f.val, f.err = held, err
 	close(f.done)
@@ -220,29 +220,37 @@ func (m *memo[K, V]) store(key K, v V) {
 // revive reads key's record from the disk tier.  Every failure — no
 // tier, an absent record, an IO error, a corrupt record — degrades to a
 // miss: the disk can slow a cold start down, never break a request.
-func (m *memo[K, V]) revive(disk *diskcache.Store, key K) (V, bool) {
-	var zero V
+// corrupt reports a record that was read but could not be decoded.
+func (m *memo[K, V]) revive(disk *diskcache.Store, key K) (v V, revived, corrupt bool) {
 	if disk == nil {
-		return zero, false
+		return v, false, false
 	}
 	data, ok, err := disk.Get(m.codec.name(key))
 	if err != nil || !ok {
-		return zero, false
+		return v, false, false
 	}
-	v, err := m.codec.decode(data)
-	if err != nil {
-		return zero, false
+	if dv, err := m.codec.decode(data); err == nil {
+		return dv, true, false
 	}
-	return v, true
+	return v, false, true
 }
 
-// persist writes a computed value to the disk tier, best-effort.
-func (m *memo[K, V]) persist(disk *diskcache.Store, key K, v V) {
+// persist writes a computed value to the disk tier, best-effort.  With
+// replace it overwrites the existing record, which revive found corrupt;
+// otherwise an existing record is kept.
+func (m *memo[K, V]) persist(disk *diskcache.Store, key K, v V, replace bool) {
 	if disk == nil {
 		return
 	}
 	data, ok := m.codec.encode(v)
-	if !ok || disk.Put(m.codec.name(key), data) != nil {
+	if !ok {
+		return
+	}
+	put := disk.Put
+	if replace {
+		put = disk.Replace
+	}
+	if put(m.codec.name(key), data) != nil {
 		return
 	}
 	m.mu.Lock()

@@ -345,9 +345,13 @@ func TestMemoDo(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-		run: func(h *memoHarness) { h.want(h.do(t.Context(), h.compute(1)), 1, nil) },
-		// The store is write-once: a Put over the existing record is a
-		// successful no-op, so it still counts as a write.
+		run: func(h *memoHarness) {
+			h.want(h.do(t.Context(), h.compute(1)), 1, nil)
+			// The leader replaced the record it could not decode.
+			if data, _, err := h.disk.Get(diskKey(memoKey, "run")); err != nil || string(data) != "1" {
+				t.Errorf("record after the compute = %q, %v; want the computed %q", data, err, "1")
+			}
+		},
 		want: deltas{misses: 1, diskWrites: 1, computed: 1},
 		held: 1,
 	}, {
