@@ -5,38 +5,23 @@
 // consistency, context flow, goroutine ownership), and exported-symbol
 // documentation.  See docs/lint.md.
 //
-// It runs two ways:
+// Run it from the module root:
 //
-//	mtlint ./...                      # standalone, from the module root
-//	go vet -vettool=$(which mtlint) ./...
+//	mtlint ./...
 //
-// In standalone mode, -json writes the findings as a machine-readable
-// JSON array (to stdout, or to the -out path), and -github prints one
-// GitHub Actions `::error` workflow command per finding on stdout so
-// CI findings annotate the offending lines of a pull request.  The
-// human-readable file:line form always goes to stderr.
-//
-// The vettool mode speaks go vet's unit-checker protocol: -V=full
-// prints a content-addressed version for the build cache, -flags prints
-// the tool's flag schema, and a single *.cfg argument names a JSON file
-// describing one compilation unit (sources plus export data for every
-// import), which mtlint type-checks and analyzes without rebuilding the
-// import graph itself.
+// It loads and type-checks the module from source.  -json writes the
+// findings as a machine-readable JSON array (to stdout, or to the -out
+// path), and -github prints one GitHub Actions `::error` workflow
+// command per finding on stdout so CI findings annotate the offending
+// lines of a pull request.  The human-readable file:line form always
+// goes to stderr.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/analyzers"
@@ -48,14 +33,12 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("mtlint", flag.ExitOnError)
-	versionFlag := fs.String("V", "", "if 'full', print the tool version and exit (go vet protocol)")
-	flagsFlag := fs.Bool("flags", false, "print the tool's flag schema as JSON and exit (go vet protocol)")
-	dirFlag := fs.String("dir", ".", "module root to analyze in standalone mode")
-	jsonFlag := fs.Bool("json", false, "standalone mode: also emit findings as a JSON array")
-	outFlag := fs.String("out", "", "standalone mode: write the -json report here instead of stdout")
-	githubFlag := fs.Bool("github", false, "standalone mode: also emit GitHub Actions ::error annotations on stdout")
+	dir := fs.String("dir", ".", "module root to analyze")
+	jsonOut := fs.Bool("json", false, "also emit findings as a JSON array")
+	out := fs.String("out", "", "write the -json report here instead of stdout")
+	github := fs.Bool("github", false, "also emit GitHub Actions ::error annotations on stdout")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: mtlint [packages]\n   or: go vet -vettool=$(which mtlint) [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(fs.Output(), "usage: mtlint [packages]\n\nAnalyzers:\n")
 		for _, a := range analyzers.All() {
 			fmt.Fprintf(fs.Output(), "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -64,48 +47,43 @@ func run(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	switch {
-	case *versionFlag == "full":
-		printVersion()
-		return 0
-	case *versionFlag != "":
-		fmt.Println("mtlint version devel")
-		return 0
-	case *flagsFlag:
-		// No tunable analyzer flags: the suite is the contract.
-		fmt.Println("[]")
-		return 0
+	patterns := fs.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-	if rest := fs.Args(); len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return vetUnit(rest[0])
+	mod, err := analyzers.ModulePathOf(*dir)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mtlint: %v\n", err)
+		return 2
 	}
-	return standalone(*dirFlag, fs.Args(), reportOptions{
-		json:   *jsonFlag,
-		out:    *outFlag,
-		github: *githubFlag,
-	})
-}
-
-// printVersion implements go vet's -V=full handshake: the reported
-// buildID must change whenever the tool's behavior may have, so vet's
-// result caching stays sound.  Hashing the executable achieves that.
-func printVersion() {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			io.Copy(h, f)
-			f.Close()
+	pkgs, err := analyzers.Load(analyzers.LoadConfig{Dir: *dir, ModulePath: mod}, patterns...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mtlint: %v\n", err)
+		return 2
+	}
+	diags, err := analyzers.RunAnalyzers(pkgs, analyzers.All())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mtlint: %v\n", err)
+		return 2
+	}
+	for _, d := range diags {
+		fmt.Fprintln(os.Stderr, d)
+	}
+	if *github {
+		for _, d := range diags {
+			fmt.Println(githubAnnotation(d))
 		}
 	}
-	fmt.Printf("mtlint version devel buildID=%x\n", h.Sum(nil))
-}
-
-// reportOptions selects the standalone mode's machine-readable outputs
-// alongside the human stderr lines.
-type reportOptions struct {
-	json   bool   // emit a JSON array of findings
-	out    string // where the JSON goes ("" = stdout)
-	github bool   // emit ::error workflow commands on stdout
+	if *jsonOut {
+		if err := writeJSONReport(*out, diags); err != nil {
+			fmt.Fprintf(os.Stderr, "mtlint: %v\n", err)
+			return 2
+		}
+	}
+	if len(diags) > 0 {
+		return 1
+	}
+	return 0
 }
 
 // jsonDiagnostic is one element of the -json report.
@@ -120,47 +98,6 @@ type jsonDiagnostic struct {
 	Analyzer string `json:"analyzer"`
 	// Message describes the violated invariant.
 	Message string `json:"message"`
-}
-
-// standalone loads the module rooted at dir and runs the suite over the
-// requested patterns (default ./...).
-func standalone(dir string, patterns []string, opts reportOptions) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	mod, err := analyzers.ModulePathOf(dir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mtlint: %v\n", err)
-		return 2
-	}
-	pkgs, err := analyzers.Load(analyzers.LoadConfig{Dir: dir, ModulePath: mod}, patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mtlint: %v\n", err)
-		return 2
-	}
-	diags, err := analyzers.RunAnalyzers(pkgs, analyzers.All())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mtlint: %v\n", err)
-		return 2
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if opts.github {
-		for _, d := range diags {
-			fmt.Println(githubAnnotation(d))
-		}
-	}
-	if opts.json {
-		if err := writeJSONReport(opts.out, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "mtlint: %v\n", err)
-			return 2
-		}
-	}
-	if len(diags) > 0 {
-		return 1
-	}
-	return 0
 }
 
 // writeJSONReport renders diags as an indented JSON array — always an
@@ -215,145 +152,3 @@ func escapeAnnotationProperty(s string) string {
 	s = strings.ReplaceAll(s, ",", "%2C")
 	return s
 }
-
-// vetConfig mirrors the unit-description JSON go vet writes for each
-// compilation unit (cmd/go's internal vet config).
-type vetConfig struct {
-	ID           string
-	Compiler     string
-	Dir          string
-	ImportPath   string
-	GoFiles      []string
-	NonGoFiles   []string
-	IgnoredFiles []string
-	ImportMap    map[string]string
-	PackageFile  map[string]string
-	Standard     map[string]bool
-	PackageVetx  map[string]string
-	VetxOnly     bool
-	VetxOutput   string
-
-	SucceedOnTypecheckFailure bool
-}
-
-// vetUnit analyzes one go vet compilation unit: parse the unit's
-// sources, type-check against the export data vet provides for every
-// import, run the suite, and report findings on stderr with exit code 2
-// (the convention vet's driver expects).
-func vetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mtlint: %v\n", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "mtlint: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-	// mtlint computes no cross-package facts, but vet requires the
-	// output file to exist before it trusts the run.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "mtlint: %v\n", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	// Test binaries (path suffix ".test") are synthesized by the go
-	// tool; there is nothing of ours to check in them.
-	if strings.HasSuffix(cfg.ImportPath, ".test") {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(cfg.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mtlint: %v\n", err)
-			return 2
-		}
-		files = append(files, f)
-	}
-
-	// Imports resolve through vet's maps: ImportMap canonicalizes the
-	// path as written (vendoring, test variants), PackageFile locates
-	// the compiled export data the gc importer reads.
-	compImp := importer.ForCompiler(fset, compilerOrGc(cfg.Compiler), func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	imp := importerFunc(func(importPath string) (*types.Package, error) {
-		path, ok := cfg.ImportMap[importPath]
-		if !ok {
-			return nil, fmt.Errorf("can't resolve import %q", importPath)
-		}
-		if path == "unsafe" {
-			return types.Unsafe, nil
-		}
-		return compImp.Import(path)
-	})
-
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
-	}
-	tc := types.Config{Importer: imp}
-	tpkg, err := tc.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "mtlint: type-checking %s: %v\n", cfg.ImportPath, err)
-		return 2
-	}
-
-	pkg := &analyzers.Package{Path: cfg.ImportPath, Fset: fset, Files: files, Types: tpkg, Info: info}
-	diags, err := analyzers.RunAnalyzers([]*analyzers.Package{pkg}, analyzers.All())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mtlint: %v\n", err)
-		return 2
-	}
-	// One finding per position: a test-variant unit re-analyzes the
-	// production sources it embeds.
-	seen := make(map[string]bool)
-	for _, d := range diags {
-		line := d.String()
-		if !seen[line] {
-			seen[line] = true
-			fmt.Fprintln(os.Stderr, line)
-		}
-	}
-	if len(seen) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// compilerOrGc defaults an absent compiler name to gc.
-func compilerOrGc(c string) string {
-	if c == "" {
-		return "gc"
-	}
-	return c
-}
-
-// importerFunc adapts a function to types.Importer.
-type importerFunc func(path string) (*types.Package, error)
-
-// Import implements types.Importer.
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -9,7 +9,7 @@
 // (go/ast, go/types, go/importer): the build environment is offline, so
 // it mirrors the golang.org/x/tools/go/analysis API shape — Analyzer,
 // Pass, Diagnostic — without importing it.  cmd/mtlint drives the suite
-// both standalone (`mtlint ./...`) and as a `go vet -vettool`.
+// over the module loaded from source (`mtlint ./...`).
 package analyzers
 
 import (

@@ -119,7 +119,7 @@ func TestExportedDocFixture(t *testing.T) { runFixture(t, "exporteddoctest", Exp
 
 // TestRepoClean is the regression gate: the whole repository, loaded
 // from source, must produce zero diagnostics from the full suite.  A
-// new violation anywhere fails this test even before CI's vettool run.
+// new violation anywhere fails this test even before CI's mtlint job.
 func TestRepoClean(t *testing.T) {
 	mod, err := ModulePathOf("../..")
 	if err != nil {
@@ -191,8 +191,8 @@ func TestPathHasSuffix(t *testing.T) {
 	}
 }
 
-// TestDiagnosticString pins the rendered diagnostic format the CI log
-// and the vettool both print.
+// TestDiagnosticString pins the rendered diagnostic format mtlint
+// prints on stderr.
 func TestDiagnosticString(t *testing.T) {
 	pkgs, err := Load(LoadConfig{Dir: "testdata/src"}, "exporteddoctest")
 	if err != nil {

@@ -48,6 +48,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"net/http"
 	"runtime"
@@ -324,10 +325,6 @@ type MatrixRequest struct {
 	// Topologies are "chips x cores x smt" strings; empty means the
 	// server machine's topology.
 	Topologies []string `json:"topologies,omitempty"`
-	// Screen is forwarded to every cell's sweep (see
-	// smtbalance.MatrixOptions.Screen); today's single-placement cells
-	// are screening-invariant, so it never changes entries.
-	Screen int `json:"screen,omitempty"`
 }
 
 // MatrixEntryJSON is one evaluation, one NDJSON chunk of the matrix
@@ -462,7 +459,10 @@ type server struct {
 // NewHandler serves the API on one shared Machine.  Matrix requests
 // run on a shared Matrix engine of their own (scenario cells may name
 // topologies other than the Machine's), whose cell cache likewise
-// persists across requests.
+// persists across requests.  Matrix cells run on that engine's own
+// default-option machines, not on m: a disk cache attached to m
+// (mtbalance serve -cache-dir) does not persist them, and the /healthz
+// cache counters, which report m's cache, do not count them.
 func NewHandler(m *smtbalance.Machine, cfg Config) http.Handler {
 	cfg = cfg.withDefaults()
 	s := &server{m: m, mx: smtbalance.NewMatrix(), cfg: cfg, g: newGate(cfg.MaxInFlight, cfg.MaxQueue)}
@@ -511,6 +511,66 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorJSON{Error: fmt.Sprintf(format, args...)})
+}
+
+// fail answers a request whose evaluation failed before any reply was
+// written: 504 when the server's budget ran out, nothing when the
+// client went away, and 400 otherwise.
+func (s *server) fail(w http.ResponseWriter, r *http.Request, what string, err error) {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		writeError(w, http.StatusGatewayTimeout, "%s exceeded the server's %s budget", what, s.cfg.Timeout)
+	case r.Context().Err() != nil:
+		// Client went away; nothing useful to write.
+	default:
+		writeError(w, http.StatusBadRequest, "%v", err)
+	}
+}
+
+// streamNDJSON streams seq as NDJSON: one record(i, v) line per
+// element, flushed as soon as it is written, then the terminal done(n)
+// record once all n elements are out, so the reply is never buffered
+// whole.  Every write first extends the rolling write deadline.  An
+// error before the first element is answered by s.fail; after it the
+// status line is gone, so the error becomes the stream's terminal
+// {"error": ...} record instead of a silent cut.  A failed write
+// (client gone, or write deadline hit) ends the stream.
+func streamNDJSON[T any](s *server, w http.ResponseWriter, r *http.Request, what string,
+	seq iter.Seq2[T, error], record func(i int, v T) any, done func(n int) any) {
+	rc := http.NewResponseController(w)
+	var enc *json.Encoder
+	start := func() {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		enc = json.NewEncoder(w)
+		enc.SetEscapeHTML(false)
+	}
+	n := 0
+	for v, err := range seq {
+		if err != nil {
+			if enc == nil {
+				s.fail(w, r, what, err)
+			} else {
+				_ = enc.Encode(errorJSON{Error: err.Error()})
+			}
+			return
+		}
+		if enc == nil {
+			start()
+		}
+		s.extendWriteDeadline(rc)
+		if err := enc.Encode(record(n, v)); err != nil {
+			return
+		}
+		n++
+		_ = rc.Flush()
+	}
+	if enc == nil {
+		start() // an empty stream still ends with its done record
+	}
+	s.extendWriteDeadline(rc)
+	_ = enc.Encode(done(n))
+	_ = rc.Flush()
 }
 
 // decode reads and strictly parses a JSON body into v.
@@ -679,14 +739,7 @@ func (s *server) run(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	res, err := s.m.RunPolicy(ctx, job, pl, pol)
 	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, "run exceeded the server's %s budget", s.cfg.Timeout)
-		case r.Context().Err() != nil:
-			// Client went away; nothing useful to write.
-		default:
-			writeError(w, http.StatusBadRequest, "%v", err)
-		}
+		s.fail(w, r, "run", err)
 		return
 	}
 	resolved := res.Policy
@@ -765,49 +818,22 @@ func (s *server) sweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
 
-	// Stream the ranking as NDJSON chunks, best first, flushing per
-	// entry as the iterator yields it, so a large ranking reaches the
-	// client while later entries are still being written — the reply is
-	// never buffered whole.  (Score normalization means the first entry
-	// still waits for evaluation to finish; see Machine.Sweep.)
-	// Evaluated for the terminal record is recovered through Progress:
-	// the ranking may be Top-truncated, so len(entries) undercounts.
+	// The ranking streams best first, one entry per chunk (score
+	// normalization means the first entry still waits for evaluation to
+	// finish; see Machine.Sweep).  Evaluated for the terminal record is
+	// recovered through Progress: the ranking may be Top-truncated, so
+	// the entry count undercounts.
 	var evaluated atomic.Int64
-	rc := http.NewResponseController(w)
-	flusher, _ := w.(http.Flusher)
-	var enc *json.Encoder
-	rank := 0
-	for e, err := range s.m.Sweep(ctx, job, space, &smtbalance.SweepOptions{
+	entries := s.m.Sweep(ctx, job, space, &smtbalance.SweepOptions{
 		Workers:   s.cfg.SweepWorkers,
 		Top:       req.Top,
 		Screen:    req.Screen,
 		Objective: obj,
 		Progress:  func(done, total int) { evaluated.Store(int64(done)) },
-	}) {
-		if err != nil {
-			switch {
-			case enc != nil:
-				// Mid-stream: the status line is gone; append the error
-				// as the terminal record instead of a silent cut.
-				_ = enc.Encode(errorJSON{Error: err.Error()})
-			case errors.Is(err, context.DeadlineExceeded):
-				writeError(w, http.StatusGatewayTimeout, "sweep exceeded the server's %s budget", s.cfg.Timeout)
-			case r.Context().Err() != nil:
-				// Client went away.
-			default:
-				writeError(w, http.StatusBadRequest, "%v", err)
-			}
-			return
-		}
-		if enc == nil {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			enc = json.NewEncoder(w)
-			enc.SetEscapeHTML(false)
-		}
-		rank++
+	})
+	streamNDJSON(s, w, r, "sweep", entries, func(i int, e smtbalance.SweepEntry) any {
 		entry := SweepEntryJSON{
-			Rank:         rank,
+			Rank:         i + 1,
 			Policy:       e.Policy,
 			CPUs:         e.Placement.CPU,
 			Cycles:       e.Cycles,
@@ -818,26 +844,10 @@ func (s *server) sweep(w http.ResponseWriter, r *http.Request) {
 		for _, p := range e.Placement.Priority {
 			entry.Priorities = append(entry.Priorities, int(p))
 		}
-		s.extendWriteDeadline(rc)
-		if err := enc.Encode(entry); err != nil {
-			return // client gone (or write deadline hit) mid-stream
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	if enc == nil {
-		// Unreachable today (a valid space always ranks entries), but a
-		// terminal record must not panic on an empty stream.
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		enc = json.NewEncoder(w)
-	}
-	s.extendWriteDeadline(rc)
-	_ = enc.Encode(SweepDone{Done: true, Evaluated: int(evaluated.Load()), Returned: rank})
-	if flusher != nil {
-		flusher.Flush()
-	}
+		return entry
+	}, func(n int) any {
+		return SweepDone{Done: true, Evaluated: int(evaluated.Load()), Returned: n}
+	})
 }
 
 // checkScenarioLimits bounds what one matrix scenario may ask of the
@@ -913,10 +923,6 @@ func (s *server) matrix(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "scenarios and policies must both be non-empty")
 		return
 	}
-	if req.Screen < 0 {
-		writeError(w, http.StatusBadRequest, "screen must be >= 0, got %d", req.Screen)
-		return
-	}
 	if cells := len(spec.Topologies) * len(spec.Scenarios); cells > s.cfg.MaxMatrixCells {
 		writeError(w, http.StatusBadRequest, "%d topology × scenario cells; this server accepts at most %d", cells, s.cfg.MaxMatrixCells)
 		return
@@ -928,34 +934,9 @@ func (s *server) matrix(w http.ResponseWriter, r *http.Request) {
 	defer s.g.release()
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
-	rc := http.NewResponseController(w)
-	flusher, _ := w.(http.Flusher)
-	var enc *json.Encoder
-	entries := 0
-	for e, err := range s.mx.Eval(ctx, spec, &smtbalance.MatrixOptions{Workers: s.cfg.SweepWorkers, Screen: req.Screen}) {
-		if err != nil {
-			switch {
-			case enc != nil:
-				// Mid-stream: the status line is gone; append the error
-				// as the terminal record instead of a silent cut.
-				_ = enc.Encode(errorJSON{Error: err.Error()})
-			case errors.Is(err, context.DeadlineExceeded):
-				writeError(w, http.StatusGatewayTimeout, "matrix exceeded the server's %s budget", s.cfg.Timeout)
-			case r.Context().Err() != nil:
-				// Client went away.
-			default:
-				writeError(w, http.StatusBadRequest, "%v", err)
-			}
-			return
-		}
-		if enc == nil {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			enc = json.NewEncoder(w)
-			enc.SetEscapeHTML(false)
-		}
-		s.extendWriteDeadline(rc)
-		if err := enc.Encode(MatrixEntryJSON{
+	entries := s.mx.Eval(ctx, spec, &smtbalance.MatrixOptions{Workers: s.cfg.SweepWorkers})
+	streamNDJSON(s, w, r, "matrix", entries, func(_ int, e smtbalance.MatrixEntry) any {
+		return MatrixEntryJSON{
 			Topology:     e.Topology,
 			Scenario:     e.Scenario,
 			Policy:       e.Policy,
@@ -963,24 +944,8 @@ func (s *server) matrix(w http.ResponseWriter, r *http.Request) {
 			Seconds:      e.Seconds,
 			ImbalancePct: e.ImbalancePct,
 			Speedup:      e.Speedup,
-		}); err != nil {
-			return // client gone (or write deadline hit) mid-stream
 		}
-		entries++
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	if enc == nil {
-		// Unreachable today (a validated spec always yields entries),
-		// but a terminal record must not panic on an empty stream.
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		enc = json.NewEncoder(w)
-	}
-	s.extendWriteDeadline(rc)
-	_ = enc.Encode(MatrixDone{Done: true, Cells: len(spec.Topologies) * len(spec.Scenarios), Entries: entries})
-	if flusher != nil {
-		flusher.Flush()
-	}
+	}, func(n int) any {
+		return MatrixDone{Done: true, Cells: len(spec.Topologies) * len(spec.Scenarios), Entries: n}
+	})
 }

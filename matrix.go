@@ -34,14 +34,6 @@ type MatrixOptions struct {
 	// per CPU, 1 forces serial evaluation.  Results are identical for
 	// every value.
 	Workers int
-	// Screen is forwarded to each cell's SweepOptions.Screen.  Today's
-	// cells sweep a single fixed placement per policy (FixPairing at
-	// medium priority), so a shortlist always covers the whole space and
-	// screening cannot change any entry — which is also why the knob is
-	// safely absent from matrixCellKey; it exists so callers (the serve
-	// API, mtbalance matrix -screen) can thread one screening setting
-	// through uniformly, and so future multi-point cells inherit it.
-	Screen int
 	// Progress, if set, observes cell completions with (done, total)
 	// cell counts.
 	Progress func(done, total int)
@@ -208,7 +200,7 @@ func resolveSpec(spec MatrixSpec) ([]Policy, []Topology, error) {
 // evalCell evaluates one (topology, scenario) cell: every policy over
 // the scenario's job, pinned in order at medium priority, fanned
 // through the sweep worker pool, scored against the static control.
-func (mx *Matrix) evalCell(ctx context.Context, topo Topology, sc Scenario, pols []Policy, workers, screen int) ([]MatrixEntry, error) {
+func (mx *Matrix) evalCell(ctx context.Context, topo Topology, sc Scenario, pols []Policy, workers int) ([]MatrixEntry, error) {
 	m, err := mx.machines.Do(ctx, topo, func() (*Machine, error) {
 		return NewMachine(&Options{Topology: topo})
 	})
@@ -223,7 +215,7 @@ func (mx *Matrix) evalCell(ctx context.Context, topo Topology, sc Scenario, pols
 		FixPairing: true,
 		Priorities: []Priority{PriorityMedium},
 		Policies:   pols,
-	}, &SweepOptions{Workers: workers, Screen: screen})
+	}, &SweepOptions{Workers: workers})
 	if err != nil {
 		return nil, fmt.Errorf("smtbalance: matrix cell (%s, %s): %w", topo, ScenarioID(sc), err)
 	}
@@ -284,7 +276,7 @@ func (mx *Matrix) Eval(ctx context.Context, spec MatrixSpec, opts *MatrixOptions
 			for _, sc := range spec.Scenarios {
 				key := matrixCellKey(topo, ScenarioID(sc), polIDs)
 				entries, err := mx.cells.Do(ctx, key, func() ([]MatrixEntry, error) {
-					return mx.evalCell(ctx, topo, sc, pols, opts.Workers, opts.Screen)
+					return mx.evalCell(ctx, topo, sc, pols, opts.Workers)
 				})
 				if err != nil {
 					yield(MatrixEntry{}, err)

@@ -210,41 +210,6 @@ func TestScreenedSweepPolicyAxis(t *testing.T) {
 	}
 }
 
-// TestScreenedMatrixIdentical: matrix cells sweep a single fixed
-// placement per policy, so forwarding a screening budget must not change
-// a single entry — the guarantee that lets MatrixOptions.Screen stay out
-// of the matrix cache key.
-func TestScreenedMatrixIdentical(t *testing.T) {
-	spec := MatrixSpec{
-		Scenarios:  []Scenario{mustParseScenario(t, "uniform,base=5000,iters=3"), mustParseScenario(t, "ramp,base=5000,iters=3")},
-		Policies:   []Policy{StaticPolicy{}, &PaperDynamic{}},
-		Topologies: []Topology{DefaultTopology()},
-	}
-	// Each evaluation gets its own engine, so the screened one cannot be
-	// answered from the plain one's cell cache.
-	plain, err := NewMatrix().EvalAll(t.Context(), spec, &MatrixOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withScreen, err := NewMatrix().EvalAll(t.Context(), spec, &MatrixOptions{Screen: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain.Entries, withScreen.Entries) {
-		t.Errorf("screening budget changed matrix entries:\nplain: %+v\nscreened: %+v",
-			plain.Entries, withScreen.Entries)
-	}
-}
-
-func mustParseScenario(t *testing.T, spec string) Scenario {
-	t.Helper()
-	sc, err := ParseScenario(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sc
-}
-
 // TestSweepScreenValidation pins the Screen knob's edges: negative is an
 // error, and a budget at least the space size degenerates to the
 // exhaustive sweep (nothing screened).
