@@ -1,6 +1,9 @@
 package smtbalance
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -153,6 +156,128 @@ func FuzzParseScenario(f *testing.F) {
 			if len(prog) == 0 {
 				t.Fatalf("rank %d has no phases", r)
 			}
+		}
+	})
+}
+
+// FuzzDecodeResult fuzzes the disk record of a Result, which can come
+// from a shared cache directory: every input either decodes into a
+// Result that clones, renders, exports and re-encodes to a record that
+// decodes to the same bytes again, or is rejected with a *recordError —
+// never a panic.
+func FuzzDecodeResult(f *testing.F) {
+	res, err := testMachine(f, &Options{NoOSNoise: true}).Run(f.Context(), sweepTestJob(1500, 6000), PinInOrder(4))
+	if err != nil {
+		f.Fatal(err)
+	}
+	good, ok := encodeResult(res)
+	if !ok {
+		f.Fatal("a traced result is not persistable")
+	}
+	f.Add(good)
+	for _, s := range []string{
+		`{"seconds":1,"cycles":10,"ranks":[{"cpu":0}],"trace_end":10,"trace":[[{"s":0,"f":0,"t":4},{"s":2,"f":4,"t":10}]]}`,
+		`{"seconds":1,"cycles":10,"ranks":[],"trace_end":5,"trace":[[{"s":1,"f":0,"t":9}]]}`,
+		`{"trace_end":-1,"trace":[[]]}`,
+		`{"trace_end":3,"trace":[[{"s":200,"f":0,"t":1}]]}`,
+		`{"trace_end":3,"trace":[]}`,
+		`{"ranks":[{"cpu":-7,"priority":99}],"trace_end":0,"trace":[[],[]]}`,
+		`{`, `null`, `[]`, ``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := decodeResult(data)
+		if err != nil {
+			var re *recordError
+			if !errors.As(err, &re) {
+				t.Fatalf("decodeResult rejected %q with untyped %T: %v", data, err, err)
+			}
+			return
+		}
+		got = got.clone()
+		got.Timeline(40)
+		if err := got.WriteTraceCSV(io.Discard); err != nil {
+			t.Fatalf("decoded record does not export as CSV: %v", err)
+		}
+		if err := got.WriteParaver(io.Discard); err != nil {
+			t.Fatalf("decoded record does not export as Paraver: %v", err)
+		}
+		enc, ok := encodeResult(got)
+		if !ok {
+			t.Fatalf("decoded record %q is not persistable", data)
+		}
+		again, err := decodeResult(enc)
+		if err != nil {
+			t.Fatalf("re-encoded record %q does not decode: %v", enc, err)
+		}
+		if enc2, _ := encodeResult(again); !bytes.Equal(enc, enc2) {
+			t.Fatalf("record does not round-trip:\n%s\n%s", enc, enc2)
+		}
+	})
+}
+
+// FuzzDecodeMetrics fuzzes the disk record of a sweep point: every input
+// either decodes into metrics that round-trip through encodeMetrics, or
+// is rejected with a *recordError — never a panic.
+func FuzzDecodeMetrics(f *testing.F) {
+	for _, s := range []string{
+		`{"cycles":123456,"seconds":7.5e-05,"imbalance_pct":12.25}`,
+		`{"cycles":-1,"seconds":-0,"imbalance_pct":1e308}`,
+		`{"cycles":1e30}`, `{"seconds":"x"}`, `{`, `null`, `[1]`, ``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := decodeMetrics(data)
+		if err != nil {
+			var re *recordError
+			if !errors.As(err, &re) {
+				t.Fatalf("decodeMetrics rejected %q with untyped %T: %v", data, err, err)
+			}
+			return
+		}
+		back, err := decodeMetrics(encodeMetrics(m))
+		if err != nil || back != m {
+			t.Fatalf("metrics %+v do not round-trip: %+v, %v", m, back, err)
+		}
+	})
+}
+
+// FuzzParsePolicy fuzzes the policy specification grammar: every input
+// either resolves to a policy whose canonical ID re-parses to the same
+// ID, or is rejected with a *SpecError naming the input — never a
+// panic.
+func FuzzParsePolicy(f *testing.F) {
+	for _, s := range []string{
+		"static", "dyn", "dyn,maxdiff=2", "hier,maxdiff=3,hysteresis=2",
+		"feedback,gain=8,deadband=0.02", " dyn , maxdiff = 1 ", "greedy,maxdiff=2",
+		"dyn2", "", ",", "dyn,maxdiff", "dyn,maxdiff=9", "dyn,maxdiff=1,maxdiff=2",
+		"feedback,gain=NaN", "feedback,deadband=-1", "static,bogus=1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		pol, err := ParsePolicy(s)
+		if err != nil {
+			var se *SpecError
+			if !errors.As(err, &se) || se.Registry != "policy" || se.Spec != s {
+				t.Fatalf("ParsePolicy(%q) rejected with %T %+v, want a *SpecError for it", s, err, err)
+			}
+			return
+		}
+		// The effective parameters, spelled out, resolve to the same
+		// policy.
+		id, spec := PolicyID(pol), pol.Name()
+		for k, v := range pol.Params() {
+			spec += "," + k + "=" + v
+		}
+		back, err := ParsePolicy(spec)
+		if err != nil {
+			t.Fatalf("ParsePolicy(%q) = %q, whose parameters %q do not re-parse: %v", s, id, spec, err)
+		}
+		if PolicyID(back) != id {
+			t.Fatalf("ParsePolicy(%q) = %q re-parses to %q", s, id, PolicyID(back))
 		}
 	})
 }

@@ -277,24 +277,16 @@ func Alloc(a, b Priority) Allocation {
 }
 
 // Owner returns the context index (0 or 1) that owns the decode stage in
-// the given cycle, or -1 when no context may decode.  blocked reports, for
-// each context, whether it is unable to use a decode cycle this cycle
-// (stalled, stopped, or out of work); a shared- or leftover-mode slot whose
-// owner is blocked is given to the sibling, matching the POWER5 behaviour
-// of not wasting decode bandwidth.  Power-save and throttled modes never
-// give slots away: their purpose is to reduce activity, not preserve
-// throughput.
+// the given (non-negative) cycle, or -1 when no context may decode.
+// blocked reports, for each context, whether it is unable to use a decode
+// cycle this cycle (stalled, stopped, or out of work); a shared- or
+// leftover-mode slot whose owner is blocked is given to the sibling,
+// matching the POWER5 behaviour of not wasting decode bandwidth.
+// Power-save and throttled modes never give slots away: their purpose is
+// to reduce activity, not preserve throughput.  Every Period is a power
+// of two, so the slot within the window is a mask of the cycle.
 func (al Allocation) Owner(cycle int64, blocked [2]bool) int {
-	steal := func(first int) int {
-		if first >= 0 && !blocked[first] {
-			return first
-		}
-		other := 1 - first
-		if first >= 0 && !blocked[other] {
-			return other
-		}
-		return -1
-	}
+	slot := cycle & int64(al.Period-1)
 	switch al.Mode {
 	case ModeStopped:
 		return -1
@@ -304,12 +296,12 @@ func (al Allocation) Owner(cycle int64, blocked [2]bool) int {
 		}
 		return al.Favored
 	case ModeThrottled:
-		if cycle%int64(al.Period) == 0 && !blocked[al.Favored] {
+		if slot == 0 && !blocked[al.Favored] {
 			return al.Favored
 		}
 		return -1
 	case ModePowerSave:
-		switch cycle % int64(al.Period) {
+		switch slot {
 		case 0:
 			if !blocked[0] {
 				return 0
@@ -321,18 +313,29 @@ func (al Allocation) Owner(cycle int64, blocked [2]bool) int {
 		}
 		return -1
 	case ModeLeftover:
-		return steal(al.Favored)
+		return steal(al.Favored, blocked)
 	default: // ModeShared
 		if al.Favored < 0 {
 			// Equal priorities: strict alternation, with stealing.
-			return steal(int(cycle % 2))
+			return steal(int(cycle&1), blocked)
 		}
-		low := 1 - al.Favored
-		if cycle%int64(al.Period) == 0 {
-			return steal(low)
+		if slot == 0 {
+			return steal(1-al.Favored, blocked)
 		}
-		return steal(al.Favored)
+		return steal(al.Favored, blocked)
 	}
+}
+
+// steal returns first unless it is blocked, else its sibling unless that
+// is blocked too, else -1.
+func steal(first int, blocked [2]bool) int {
+	if !blocked[first] {
+		return first
+	}
+	if !blocked[1-first] {
+		return 1 - first
+	}
+	return -1
 }
 
 // Share returns the fraction of decode cycles statically granted to the

@@ -40,10 +40,11 @@ const (
 	// Syscall marks a transition into the kernel; the chip treats it as a
 	// one-cycle serializing op, the OS layer gives it meaning.
 	Syscall
-	numOps
+	// NumOps is the number of defined operation classes.
+	NumOps
 )
 
-var opNames = [numOps]string{
+var opNames = [NumOps]string{
 	"nop", "fx", "fxmul", "fp", "fpdiv", "load", "store", "branch", "ornop", "syscall",
 }
 
@@ -87,21 +88,18 @@ func (u Unit) String() string {
 	}
 }
 
-// Unit returns the functional-unit class required by the operation.
-func (o Op) Unit() Unit {
-	switch o {
-	case FX, FXMul, OrNop, Syscall, Nop:
-		return UnitFX
-	case FP, FPDiv:
-		return UnitFP
-	case Load, Store:
-		return UnitLS
-	case Branch:
-		return UnitBR
-	default:
-		return UnitNone
-	}
+// opUnits maps every Op value, defined or not, to its unit class; an
+// undefined op needs UnitNone.  Indexing by a uint8 needs no bounds
+// check on the issue path.
+var opUnits = [256]Unit{
+	Nop: UnitFX, FX: UnitFX, FXMul: UnitFX, OrNop: UnitFX, Syscall: UnitFX,
+	FP: UnitFP, FPDiv: UnitFP,
+	Load: UnitLS, Store: UnitLS,
+	Branch: UnitBR,
 }
+
+// Unit returns the functional-unit class required by the operation.
+func (o Op) Unit() Unit { return opUnits[o] }
 
 // Instr is a single dynamic instruction.
 type Instr struct {

@@ -29,7 +29,7 @@ func TestOpUnits(t *testing.T) {
 }
 
 func TestOpStrings(t *testing.T) {
-	for op := Op(0); op < numOps; op++ {
+	for op := Op(0); op < NumOps; op++ {
 		if op.String() == "" {
 			t.Errorf("op %d has empty mnemonic", op)
 		}
@@ -154,7 +154,7 @@ func TestPropLimitPrefix(t *testing.T) {
 	f := func(ops []uint8, n uint8) bool {
 		instrs := make([]Instr, len(ops))
 		for i, o := range ops {
-			instrs[i] = Instr{Op: Op(o % uint8(numOps))}
+			instrs[i] = Instr{Op: Op(o % uint8(NumOps))}
 		}
 		full := drain(NewSliceStream(instrs), len(instrs))
 		lim := drain(Limit(NewSliceStream(instrs), int64(n)), len(instrs)+1)
@@ -182,7 +182,7 @@ func TestPropResetReplays(t *testing.T) {
 	f := func(ops []uint8) bool {
 		instrs := make([]Instr, len(ops))
 		for i, o := range ops {
-			instrs[i] = Instr{Op: Op(o % uint8(numOps)), Addr: uint64(i) * 8}
+			instrs[i] = Instr{Op: Op(o % uint8(NumOps)), Addr: uint64(i) * 8}
 		}
 		s := Concat(NewSliceStream(instrs), Limit(NewLoopStream([]Instr{{Op: FX}}), 3))
 		first := drain(s, len(instrs)+3)

@@ -141,20 +141,31 @@ func (c *Cache) Access(addr uint64) bool {
 	return false
 }
 
-// Contains reports whether addr is currently cached, without touching LRU
-// state or statistics.  It exists for tests and invariant checks.
-func (c *Cache) Contains(addr uint64) bool {
+// Find returns the index of the way holding addr, or -1 when addr would
+// miss, without touching LRU state or statistics.  A hit is committed
+// with Touch; a miss with Access.
+func (c *Cache) Find(addr uint64) int {
 	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
+	base := int(line&c.setMask) * c.cfg.Ways
+	for i := base; i < base+c.cfg.Ways; i++ {
 		if c.stamps[i] != 0 && c.tags[i] == line {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
+
+// Touch records a hit on the way Find returned, exactly as Access
+// would have.
+func (c *Cache) Touch(way int) {
+	c.clock++
+	c.stats.Accesses++
+	c.stamps[way] = c.clock
+}
+
+// Contains reports whether addr is currently cached, without touching LRU
+// state or statistics.  It exists for tests and invariant checks.
+func (c *Cache) Contains(addr uint64) bool { return c.Find(addr) >= 0 }
 
 // Flush invalidates every line and clears statistics, in time
 // proportional to the live sets.

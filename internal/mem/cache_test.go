@@ -177,11 +177,52 @@ func TestHierarchyLatencies(t *testing.T) {
 	if got := h.LoadLatency(1, 0); got != 2+14 {
 		t.Errorf("cross-core L2 hit latency = %d, want 16", got)
 	}
-	if h.IsL1Miss(0, 0) {
-		t.Error("address should be resident in core 0 L1")
+	way := h.FindL1(0, 0)
+	if way < 0 {
+		t.Fatal("address should be resident in core 0 L1")
 	}
-	if !h.IsL1Miss(1, 1<<20) {
+	if h.FindL1(1, 1<<20) >= 0 {
 		t.Error("untouched address should be an L1 miss")
+	}
+	before := h.L1(0).Stats()
+	if got := h.TouchL1(0, way); got != 2 {
+		t.Errorf("TouchL1 latency = %d, want 2", got)
+	}
+	if got := h.L1(0).Stats(); got.Accesses != before.Accesses+1 || got.Misses != before.Misses {
+		t.Errorf("TouchL1 stats %+v after %+v, want one more hit", got, before)
+	}
+}
+
+// TestFindTouchMatchesAccess: committing a hit through Find and Touch
+// leaves the cache exactly as Access would — same statistics and the
+// same LRU order, hence the same later evictions.
+func TestFindTouchMatchesAccess(t *testing.T) {
+	cfg := Config{SizeBytes: 1 << 10, LineBytes: 64, Ways: 4, Latency: 2}
+	a, b := MustNew(cfg), MustNew(cfg)
+	addrs := make([]uint64, 4000)
+	x := uint64(1)
+	for i := range addrs {
+		x = x*6364136223846793005 + 1442695040888963407
+		addrs[i] = (x >> 33) % (4 << 10)
+	}
+	for _, addr := range addrs {
+		hit := a.Access(addr)
+		if way := b.Find(addr); way >= 0 {
+			if !hit {
+				t.Fatalf("Find hit %#x where Access missed", addr)
+			}
+			b.Touch(way)
+		} else if b.Access(addr) {
+			t.Fatalf("Find missed %#x where Access hit", addr)
+		}
+	}
+	if a.Stats() != b.Stats() {
+		t.Errorf("stats %+v via Find/Touch, want %+v", b.Stats(), a.Stats())
+	}
+	for addr := uint64(0); addr < 4<<10; addr += 64 {
+		if a.Contains(addr) != b.Contains(addr) {
+			t.Fatalf("residency of %#x differs", addr)
+		}
 	}
 }
 
@@ -246,7 +287,7 @@ func TestHierarchyFlushAndErrors(t *testing.T) {
 	}
 	h.LoadLatency(0, 128)
 	h.Flush()
-	if !h.IsL1Miss(0, 128) {
+	if h.FindL1(0, 128) >= 0 {
 		t.Error("flush did not clear L1")
 	}
 	if h.Config().Cores != 2 {

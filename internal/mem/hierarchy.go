@@ -106,10 +106,17 @@ func (h *Hierarchy) StoreLatency(core int, addr uint64) int {
 	return h.l1[core].Latency()
 }
 
-// IsL1Miss reports whether addr would miss core's L1 right now, without
-// perturbing any state.
-func (h *Hierarchy) IsL1Miss(core int, addr uint64) bool {
-	return !h.l1[core].Contains(addr)
+// FindL1 returns the way of core's L1 that holds addr, or -1 when a load
+// of addr would miss, without changing any state.  The caller commits a
+// hit with TouchL1 and a miss with LoadLatency.
+func (h *Hierarchy) FindL1(core int, addr uint64) int { return h.l1[core].Find(addr) }
+
+// TouchL1 commits a load hit on the L1 way FindL1 returned and returns
+// its latency.
+func (h *Hierarchy) TouchL1(core, way int) int {
+	l1 := h.l1[core]
+	l1.Touch(way)
+	return l1.Latency()
 }
 
 // L1 returns core's private L1 cache (for statistics).

@@ -61,7 +61,7 @@ func (s *cpuStream) FFNorm(b []byte) []byte {
 	if s.daemon != nil {
 		b = binary.LittleEndian.AppendUint64(b, uint64(s.nextDaemon-cycle))
 	}
-	b = s.kgen.(isa.FastForwarder).FFNorm(b)
+	b = s.kgen.FFNorm(b)
 	if ff, _ := s.ffUser(); ff != nil {
 		b = append(b, 1)
 		b = ff.FFNorm(b)
@@ -73,7 +73,7 @@ func (s *cpuStream) FFNorm(b []byte) []byte {
 
 // FFCtrs implements isa.FastForwarder.
 func (s *cpuStream) FFCtrs(c []int64) []int64 {
-	c = s.kgen.(isa.FastForwarder).FFCtrs(c)
+	c = s.kgen.FFCtrs(c)
 	if ff, _ := s.ffUser(); ff != nil {
 		c = ff.FFCtrs(c)
 	}
@@ -84,7 +84,8 @@ func (s *cpuStream) FFCtrs(c []int64) []int64 {
 func (s *cpuStream) FFAdvance(k, dt int64, d []int64) []int64 {
 	s.nextTick += dt
 	s.nextDaemon += dt
-	d = s.kgen.(isa.FastForwarder).FFAdvance(k, dt, d)
+	s.settle()
+	d = s.kgen.FFAdvance(k, dt, d)
 	if ff, _ := s.ffUser(); ff != nil {
 		d = ff.FFAdvance(k, dt, d)
 	}

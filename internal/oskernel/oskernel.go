@@ -24,6 +24,7 @@ package oskernel
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/hwpri"
 	"repro/internal/isa"
@@ -85,9 +86,21 @@ type Process struct {
 	// value written to /proc/<PID>/hmt_priority).
 	HMT hwpri.Priority
 
-	user    isa.Stream
+	user isa.Stream
+	// gen is user when it is a workload generator, so the CPU stream
+	// calls it without an interface dispatch.
+	gen     *workload.Gen
 	started bool
 }
+
+// setUser installs the process's user stream.
+func (p *Process) setUser(s isa.Stream) {
+	p.user = s
+	p.gen, _ = s.(*workload.Gen)
+}
+
+// next yields p's next user instruction; a nil p or user stream has none.
+func (p *Process) next(in *isa.Instr) bool { return p != nil && p.user != nil && p.user.Next(in) }
 
 // Kernel is the simulated operating system.  It manages one machine —
 // a single chip on the paper's OpenPower 710, or a multi-chip node
@@ -199,7 +212,8 @@ func (k *Kernel) Spawn(name string, cpu int, user isa.Stream, hmt hwpri.Priority
 	if !hmt.Valid() {
 		return nil, ErrBadPriority
 	}
-	p := &Process{PID: k.next, Name: name, CPU: cpu, HMT: hmt, user: user}
+	p := &Process{PID: k.next, Name: name, CPU: cpu, HMT: hmt}
+	p.setUser(user)
 	k.next++
 	k.procs[p.PID] = p
 	cs.proc = p
@@ -240,7 +254,7 @@ func (k *Kernel) ProcessOn(cpu int) *Process { return k.cpus[cpu].proc }
 // this to move a rank between compute, spin and communication phases) and
 // re-arms the CPU.
 func (k *Kernel) SetUserStream(p *Process, s isa.Stream) {
-	p.user = s
+	p.setUser(s)
 	cs := k.cpus[p.CPU]
 	if cs.proc != p {
 		return
@@ -317,12 +331,16 @@ func (k *Kernel) OnlineCPU(cpu int) error {
 type cpuStream struct {
 	k  *Kernel
 	cs *cpuState
+	// clock is the machine's first chip; the chips run in lockstep.
+	clock *power5.Chip
 	// core/thr cache the topology mapping of cs.id: Next sits on the
 	// per-cycle decode path and the mapping never changes.
 	core, thr int
-	// noNoise short-circuits Next straight to the user stream when the
-	// kernel can never preempt it (no ticks, no daemon on this CPU).
-	noNoise bool
+	// quiet is the cycle before which nothing can preempt the user
+	// stream: the next tick or daemon activation, math.MinInt64 while a
+	// handler or daemon runs, math.MaxInt64 when neither can ever fire.
+	// It is derived from the fields below (see settle).
+	quiet int64
 
 	inHandler   bool
 	handlerLeft int64
@@ -333,18 +351,18 @@ type cpuStream struct {
 	nextDaemon int64
 	daemon     *Daemon
 
-	kgen isa.Stream
+	kgen *workload.Gen
 }
 
 func newCPUStream(k *Kernel, cs *cpuState) *cpuStream {
-	s := &cpuStream{k: k, cs: cs}
+	s := &cpuStream{k: k, cs: cs, clock: k.mach.Chip(0)}
 	s.core, s.thr = k.coreThread(cs.id)
-	s.kgen = workload.Load{
+	s.kgen = workload.NewGen(workload.Load{
 		Kind: workload.FXU,
 		N:    1 << 62,
 		Base: kernelBase + uint64(cs.id)<<24,
 		Seed: uint64(cs.id) + 1,
-	}.Stream()
+	})
 	if k.cfg.TickPeriod > 0 {
 		// Stagger ticks across CPUs as real per-CPU timers are.  The
 		// divisor is the machine's context count, so the offsets stay
@@ -358,19 +376,42 @@ func newCPUStream(k *Kernel, cs *cpuState) *cpuStream {
 			s.nextDaemon = s.daemon.Period
 		}
 	}
-	s.noNoise = k.cfg.TickPeriod <= 0 && s.daemon == nil
+	s.settle()
 	return s
+}
+
+// settle recomputes quiet from the preemption state.
+func (s *cpuStream) settle() {
+	switch {
+	case s.inHandler || s.inDaemon:
+		s.quiet = math.MinInt64
+		return
+	case s.k.cfg.TickPeriod > 0:
+		s.quiet = s.nextTick
+	default:
+		s.quiet = math.MaxInt64
+	}
+	if s.daemon != nil {
+		s.quiet = min(s.quiet, s.nextDaemon)
+	}
 }
 
 // Next implements isa.Stream.
 func (s *cpuStream) Next(in *isa.Instr) bool {
-	if s.noNoise && !s.inHandler && !s.inDaemon {
-		if p := s.cs.proc; p != nil && p.user != nil {
-			return p.user.Next(in)
-		}
-		return false
+	if s.clock.Cycle() >= s.quiet {
+		return s.preempted(in)
 	}
-	cycle := s.k.mach.Cycle()
+	if p := s.cs.proc; p != nil && p.gen != nil {
+		return p.gen.Next(in)
+	}
+	return s.cs.proc.next(in)
+}
+
+// preempted is Next once a tick or daemon is due or running: it starts
+// the due one, feeds the kernel mix while it runs, and falls back to the
+// user stream when nothing is due after all.
+func (s *cpuStream) preempted(in *isa.Instr) bool {
+	cycle := s.clock.Cycle()
 	core, thr := s.core, s.thr
 
 	if !s.inHandler && !s.inDaemon {
@@ -412,13 +453,11 @@ func (s *cpuStream) Next(in *isa.Instr) bool {
 				s.inDaemon = false
 			}
 		}
+		s.settle()
 		return true
 	}
-
-	if s.cs.proc == nil || s.cs.proc.user == nil {
-		return false
-	}
-	return s.cs.proc.user.Next(in)
+	s.settle()
+	return s.cs.proc.next(in)
 }
 
 // Reset implements isa.Stream; CPU streams are not rewindable, so Reset

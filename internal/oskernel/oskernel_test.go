@@ -304,3 +304,31 @@ func TestIdleSiblingDonatesCore(t *testing.T) {
 		t.Errorf("idle sibling costs %.0f%% vs ST mode; idle etiquette broken", (ratio-1)*100)
 	}
 }
+
+// TestTickedCycleAllocs extends power5's TestChipCycleAllocs to the path
+// a kernel-managed run takes: every CPU's stream is the kernel's
+// preemptible wrapper, with timer ticks and a daemon firing throughout
+// the measured window.  The wrapper, its tick and daemon handlers and
+// the devirtualized user-stream call must stay allocation-free.
+func TestTickedCycleAllocs(t *testing.T) {
+	for _, patched := range []bool{true, false} {
+		mach, err := power5.NewMachine(power5.DefaultTopology(), power5.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := NewMachine(mach, Config{Patched: patched, TickPeriod: 2000, TickCost: 400,
+			Daemons: []Daemon{{CPU: 1, Period: 3000, Run: 300}}})
+		for cpu, kind := range []workload.Kind{workload.Mixed, workload.FPU, workload.L2, workload.Mem} {
+			l := workload.Load{Kind: kind, N: 1 << 62, Seed: uint64(cpu) + 1, Base: uint64(cpu+1) << 32}
+			if _, err := k.Spawn("rank", cpu, l.Stream(), hwpri.Medium); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a := testing.AllocsPerRun(1, func() { mach.Run(20000) }); a != 0 {
+			t.Errorf("patched=%v: %v allocations in 20000 ticked cycles, want 0", patched, a)
+		}
+		if k.Chip().Cycle() < 40000 {
+			t.Fatalf("patched=%v: machine went idle at cycle %d", patched, k.Chip().Cycle())
+		}
+	}
+}

@@ -38,15 +38,14 @@ func (s ContextStats) IPC(cycles int64) float64 {
 }
 
 // entry is one in-flight instruction in a context's portion of the shared
-// completion window.
+// completion window.  Decode has the stream write the instruction straight
+// into the free slot at the ring's tail.  The entries in [head, issueIdx)
+// have issued; doneAt is meaningful only for them.
 type entry struct {
+	isa.Instr
 	doneAt    int64
 	decodedAt int64
-	addr      uint64
 	pos       int64
-	op        isa.Op
-	dep       uint8
-	issued    bool
 }
 
 // depRing is the number of recent per-context completion times retained
@@ -55,10 +54,9 @@ const depRing = 64
 
 // context is one SMT hardware thread context.
 type context struct {
-	stream  isa.Stream
-	running bool
-	prio    hwpri.Priority
-	priv    hwpri.Privilege
+	stream isa.Stream
+	prio   hwpri.Priority
+	priv   hwpri.Privilege
 
 	// ring is the in-flight instruction queue (in program order).
 	ring         []entry
@@ -79,28 +77,23 @@ func (ctx *context) reset(windowSize int) {
 	ctx.head, ctx.issueIdx, ctx.tail, ctx.count, ctx.unissued = 0, 0, 0, 0, 0
 	ctx.decodePos = 0
 	ctx.blockedUntil = 0
-	ctx.running = false
 	ctx.prio = hwpri.Medium
 	ctx.priv = hwpri.ProblemState
-}
-
-func (ctx *context) push(e entry) {
-	ctx.ring[ctx.tail] = e
-	ctx.tail++
-	if ctx.tail == len(ctx.ring) {
-		ctx.tail = 0
-	}
-	ctx.count++
-	ctx.unissued++
 }
 
 // core is one POWER5 core: two contexts sharing decode, issue, units,
 // window, predictor and L1.
 type core struct {
-	ctx   [2]context
+	ctx [2]context
+	// idle marks the contexts without a stream.  Decode hands it to
+	// Allocation.Owner as it stands: a pair assembled afresh each cycle
+	// from two one-byte stores stalls the two-byte argument load.
+	idle  [2]bool
 	alloc hwpri.Allocation
 	bp    *branch.Predictor
-	// mshr holds completion times of outstanding L1 misses.
+	// mshr holds completion times of L1 misses, in issue order.  Entries
+	// at or below the current cycle have expired; they are pruned only
+	// when the slice is full.
 	mshr []int64
 	// windowUsed counts entries across both contexts.
 	windowUsed int
@@ -121,9 +114,11 @@ type Chip struct {
 	// uses it as the modulus under which the cycle counter is behaviorally
 	// periodic.  Monotonic, at least 2 (complete/issue parity).
 	ffMaxPeriod int64
-	// decodeIn is decode's instruction scratch.  A local would escape
-	// through the stream interface call and allocate every cycle.
-	decodeIn isa.Instr
+	// unitCap is the per-core functional-unit count of each unit class
+	// and opLat the execution latency of each non-memory op, both
+	// fixed by cfg.
+	unitCap [isa.NumUnits]int
+	opLat   [isa.NumOps]int64
 
 	// onEmpty, if set, is invoked when a context's stream runs dry.  The
 	// handler may install a new stream (SetStream) and adjust priorities;
@@ -141,10 +136,21 @@ func New(cfg Config) (*Chip, error) {
 		return nil, err
 	}
 	ch := &Chip{cfg: cfg, hier: hier, ffMaxPeriod: 2}
+	ch.unitCap[isa.UnitFX] = cfg.FXUnits
+	ch.unitCap[isa.UnitFP] = cfg.FPUnits
+	ch.unitCap[isa.UnitLS] = cfg.LSUnits
+	ch.unitCap[isa.UnitBR] = cfg.BRUnits
+	for op := range ch.opLat {
+		ch.opLat[op] = 1
+	}
+	ch.opLat[isa.FXMul] = int64(cfg.FXMulLatency)
+	ch.opLat[isa.FP] = int64(cfg.FPLatency)
+	ch.opLat[isa.FPDiv] = int64(cfg.FPDivLatency)
 	for i := 0; i < cfg.Cores; i++ {
 		co := &core{
 			bp:   branch.New(cfg.BranchBits),
 			mshr: make([]int64, 0, cfg.MSHRs),
+			idle: [2]bool{true, true},
 		}
 		for t := range co.ctx {
 			co.ctx[t].reset(cfg.WindowSize)
@@ -192,11 +198,17 @@ func (ch *Chip) checkCT(coreID, thread int) {
 	}
 }
 
-// noteBusy updates the active-context counter after a transition; was is
-// the context's busy state (running or in-flight work) before it.
-func (ch *Chip) noteBusy(ctx *context, was bool) {
-	now := ctx.running || ctx.count > 0
-	if now != was {
+// SetStream installs s as the instruction stream of the given context; a
+// nil stream idles the context.  In-flight instructions are unaffected.
+func (ch *Chip) SetStream(coreID, thread int, s isa.Stream) {
+	ch.checkCT(coreID, thread)
+	co := ch.cores[coreID]
+	ctx := &co.ctx[thread]
+	// active counts contexts that run or have work in flight.
+	was := !co.idle[thread] || ctx.count > 0
+	ctx.stream = s
+	co.idle[thread] = s == nil
+	if now := s != nil || ctx.count > 0; now != was {
 		if now {
 			ch.active++
 		} else {
@@ -205,21 +217,10 @@ func (ch *Chip) noteBusy(ctx *context, was bool) {
 	}
 }
 
-// SetStream installs s as the instruction stream of the given context; a
-// nil stream idles the context.  In-flight instructions are unaffected.
-func (ch *Chip) SetStream(coreID, thread int, s isa.Stream) {
-	ch.checkCT(coreID, thread)
-	ctx := &ch.cores[coreID].ctx[thread]
-	was := ctx.running || ctx.count > 0
-	ctx.stream = s
-	ctx.running = s != nil
-	ch.noteBusy(ctx, was)
-}
-
 // Running reports whether the context currently has a stream.
 func (ch *Chip) Running(coreID, thread int) bool {
 	ch.checkCT(coreID, thread)
-	return ch.cores[coreID].ctx[thread].running
+	return !ch.cores[coreID].idle[thread]
 }
 
 // SetPriority sets the hardware thread priority of a context.  This is
@@ -304,26 +305,6 @@ func (ch *Chip) InFlight(coreID, thread int) int {
 // flight, i.e. further cycles cannot change architectural state.
 func (ch *Chip) AllIdle() bool { return ch.active == 0 }
 
-// latency returns the execution latency of an instruction issued now.
-// Loads consult the cache hierarchy (and so must only be called once, at
-// issue).
-func (ch *Chip) latency(coreID int, e *entry) int64 {
-	switch e.op {
-	case isa.FXMul:
-		return int64(ch.cfg.FXMulLatency)
-	case isa.FP:
-		return int64(ch.cfg.FPLatency)
-	case isa.FPDiv:
-		return int64(ch.cfg.FPDivLatency)
-	case isa.Load:
-		return int64(ch.hier.LoadLatency(coreID, e.addr))
-	case isa.Store:
-		return int64(ch.hier.StoreLatency(coreID, e.addr))
-	default:
-		return 1
-	}
-}
-
 // Step advances the chip by one cycle.
 func (ch *Chip) Step() {
 	if ch.hier == nil {
@@ -332,7 +313,7 @@ func (ch *Chip) Step() {
 	for id, co := range ch.cores {
 		// A core with no running context and an empty window has nothing
 		// to complete, issue or decode; skip all three stages.
-		if !co.ctx[0].running && !co.ctx[1].running && co.windowUsed == 0 {
+		if co.idle[0] && co.idle[1] && co.windowUsed == 0 {
 			continue
 		}
 		ch.complete(co)
@@ -363,51 +344,141 @@ func (ch *Chip) RunUntil(target int64) int64 {
 }
 
 // complete retires finished instructions in order, up to CompleteWidth per
-// core per cycle, alternating between contexts for fairness.
+// core per cycle.  Retirement alternates between the contexts for
+// fairness — the cycle-parity context first, then a, b, a, b … — and a
+// context drops out at its first unfinished instruction, so the split of
+// the width between the two ready prefixes has a closed form.
 func (ch *Chip) complete(co *core) {
-	budget := ch.cfg.CompleteWidth
-	for budget > 0 {
-		progress := false
-		for t := 0; t < 2 && budget > 0; t++ {
-			ctx := &co.ctx[(int(ch.cycle)+t)&1]
-			if ctx.count == ctx.unissued || ctx.count == 0 {
-				continue
-			}
-			e := &ctx.ring[ctx.head]
-			if !e.issued || e.doneAt > ch.cycle {
-				continue
-			}
-			ctx.head++
-			if ctx.head == len(ctx.ring) {
-				ctx.head = 0
-			}
-			ctx.count--
-			co.windowUsed--
-			if ctx.count == 0 && !ctx.running {
-				ch.active--
-			}
-			ctx.stats.Completed++
-			budget--
-			progress = true
+	w := ch.cfg.CompleteWidth
+	first := int(ch.cycle) & 1
+	na, nb := ch.readyPrefix(&co.ctx[first], w), ch.readyPrefix(&co.ctx[first^1], w)
+	if na+nb > w {
+		// Alternation gives the first context the odd slots, (w+1)/2,
+		// plus whatever the second leaves unused; the second takes the
+		// rest.
+		na = min(na, max((w+1)/2, w-nb))
+		nb = w - na
+	}
+	ch.retire(co, first, na)
+	ch.retire(co, first^1, nb)
+}
+
+// readyPrefix counts, up to limit, the issued instructions at the head
+// of ctx that have finished by this cycle.
+func (ch *Chip) readyPrefix(ctx *context, limit int) int {
+	n := min(ctx.count-ctx.unissued, limit)
+	idx := ctx.head
+	for i := 0; i < n; i++ {
+		if ctx.ring[idx].doneAt > ch.cycle {
+			return i
 		}
-		if !progress {
-			return
+		if idx++; idx == len(ctx.ring) {
+			idx = 0
 		}
 	}
+	return n
+}
+
+// retire removes the n oldest instructions of context t from the window.
+func (ch *Chip) retire(co *core, t, n int) {
+	if n == 0 {
+		return
+	}
+	ctx := &co.ctx[t]
+	if ctx.head += n; ctx.head >= len(ctx.ring) {
+		ctx.head -= len(ctx.ring)
+	}
+	ctx.count -= n
+	co.windowUsed -= n
+	if ctx.count == 0 && co.idle[t] {
+		ch.active--
+	}
+	ctx.stats.Completed += int64(n)
 }
 
 // issue dispatches ready instructions in per-context program order, up to
 // IssueWidth per core per cycle, subject to functional-unit counts,
 // dependency readiness and MSHR availability.
+//
+// Selection is age-ordered, as in an age-based issue queue: it merges the
+// two contexts' in-order queues by decode time, the cycle-parity context
+// winning ties.  This lets the decode-cycle share imposed by the hardware
+// priorities propagate into issue bandwidth when the window is the
+// constraint.  A context leaves the merge at its first instruction that
+// cannot go this cycle.
 func (ch *Chip) issue(coreID int, co *core) {
 	budget := ch.cfg.IssueWidth
-	var unitFree [isa.NumUnits]int
-	unitFree[isa.UnitFX] = ch.cfg.FXUnits
-	unitFree[isa.UnitFP] = ch.cfg.FPUnits
-	unitFree[isa.UnitLS] = ch.cfg.LSUnits
-	unitFree[isa.UnitBR] = ch.cfg.BRUnits
+	unitFree := ch.unitCap
+	first := int(ch.cycle) & 1
+	a, b := &co.ctx[first], &co.ctx[first^1]
+	aLive, bLive := a.unissued > 0, b.unissued > 0
+	for budget > 0 {
+		var ctx *context
+		switch {
+		case aLive && (!bLive || a.ring[a.issueIdx].decodedAt <= b.ring[b.issueIdx].decodedAt):
+			ctx = a
+		case bLive:
+			ctx = b
+		default:
+			return
+		}
+		if ch.issueHead(coreID, co, ctx, &unitFree) {
+			budget--
+			if ctx.unissued > 0 {
+				continue
+			}
+		}
+		if ctx == a {
+			aLive = false
+		} else {
+			bLive = false
+		}
+	}
+}
 
-	// Prune expired MSHR entries lazily.
+// issueHead issues the oldest unissued instruction of ctx if its
+// operand, its unit and, for a load that misses the L1, an MSHR are
+// available; it reports whether it did.
+func (ch *Chip) issueHead(coreID int, co *core, ctx *context, unitFree *[isa.NumUnits]int) bool {
+	e := &ctx.ring[ctx.issueIdx]
+	if e.Dep > 0 && e.pos >= int64(e.Dep) && ctx.doneTimes[(e.pos-int64(e.Dep))&(depRing-1)] > ch.cycle {
+		return false
+	}
+	unit := e.Op.Unit()
+	if unitFree[unit] == 0 {
+		return false
+	}
+	var lat int64
+	switch e.Op {
+	case isa.Load:
+		if way := ch.hier.FindL1(coreID, e.Addr); way >= 0 {
+			lat = int64(ch.hier.TouchL1(coreID, way))
+			break
+		}
+		if len(co.mshr) >= ch.cfg.MSHRs && !ch.pruneMSHR(co) {
+			return false
+		}
+		lat = int64(ch.hier.LoadLatency(coreID, e.Addr))
+		co.mshr = append(co.mshr, ch.cycle+lat)
+		ctx.stats.L1Misses++
+	case isa.Store:
+		lat = int64(ch.hier.StoreLatency(coreID, e.Addr))
+	default:
+		lat = ch.opLat[e.Op]
+	}
+	e.doneAt = ch.cycle + lat
+	ctx.doneTimes[e.pos&(depRing-1)] = e.doneAt
+	if ctx.issueIdx++; ctx.issueIdx == len(ctx.ring) {
+		ctx.issueIdx = 0
+	}
+	ctx.unissued--
+	unitFree[unit]--
+	return true
+}
+
+// pruneMSHR drops the expired entries of a full MSHR file, keeping the
+// live ones in issue order, and reports whether one became free.
+func (ch *Chip) pruneMSHR(co *core) bool {
 	live := co.mshr[:0]
 	for _, d := range co.mshr {
 		if d > ch.cycle {
@@ -415,71 +486,7 @@ func (ch *Chip) issue(coreID int, co *core) {
 		}
 	}
 	co.mshr = live
-
-	// Age-ordered select: each round, issue the oldest unissued
-	// instruction across both contexts (by decode time, with cycle-
-	// parity rotation breaking ties), as an age-based issue queue
-	// would.  This lets the decode-cycle share imposed by the hardware
-	// priorities propagate into issue bandwidth when the window is the
-	// constraint.
-	stalled := [2]bool{}
-	for budget > 0 && (!stalled[0] || !stalled[1]) {
-		pick := -1
-		var pickAge int64
-		for t := 0; t < 2; t++ {
-			ti := (int(ch.cycle) + t) & 1
-			if stalled[ti] {
-				continue
-			}
-			ctx := &co.ctx[ti]
-			if ctx.unissued == 0 {
-				stalled[ti] = true
-				continue
-			}
-			age := ctx.ring[ctx.issueIdx].decodedAt
-			if pick < 0 || age < pickAge {
-				pick, pickAge = ti, age
-			}
-		}
-		if pick < 0 {
-			return
-		}
-		ctx := &co.ctx[pick]
-		e := &ctx.ring[ctx.issueIdx]
-		// In-order issue per context: the context stalls at the first
-		// instruction that cannot go this cycle.
-		if e.dep > 0 && e.pos >= int64(e.dep) {
-			if ctx.doneTimes[(e.pos-int64(e.dep))&(depRing-1)] > ch.cycle {
-				stalled[pick] = true
-				continue
-			}
-		}
-		unit := e.op.Unit()
-		if unitFree[unit] == 0 {
-			stalled[pick] = true
-			continue
-		}
-		if e.op == isa.Load && ch.hier.IsL1Miss(coreID, e.addr) {
-			if len(co.mshr) >= ch.cfg.MSHRs {
-				stalled[pick] = true
-				continue
-			}
-			e.doneAt = ch.cycle + ch.latency(coreID, e)
-			co.mshr = append(co.mshr, e.doneAt)
-			ctx.stats.L1Misses++
-		} else {
-			e.doneAt = ch.cycle + ch.latency(coreID, e)
-		}
-		ctx.doneTimes[e.pos&(depRing-1)] = e.doneAt
-		e.issued = true
-		ctx.issueIdx++
-		if ctx.issueIdx == len(ctx.ring) {
-			ctx.issueIdx = 0
-		}
-		ctx.unissued--
-		unitFree[unit]--
-		budget--
-	}
+	return len(live) < ch.cfg.MSHRs
 }
 
 // notePeriod widens ffMaxPeriod when this decode arbitration genuinely
@@ -488,18 +495,18 @@ func (ch *Chip) issue(coreID int, co *core) {
 // always pass to the sibling, so only a schedule contested by two active
 // contexts, a throttled live thread, or a power-save thread depend on
 // the absolute cycle.  Callers pre-check Period > ffMaxPeriod.
-func (ch *Chip) notePeriod(co *core, inactive [2]bool) {
+func (ch *Chip) notePeriod(co *core) {
 	switch co.alloc.Mode {
 	case hwpri.ModeShared:
-		if inactive[0] || inactive[1] {
+		if co.idle[0] || co.idle[1] {
 			return
 		}
 	case hwpri.ModeThrottled:
-		if inactive[co.alloc.Favored] {
+		if co.idle[co.alloc.Favored] {
 			return
 		}
 	case hwpri.ModePowerSave:
-		if inactive[0] && inactive[1] {
+		if co.idle[0] && co.idle[1] {
 			return
 		}
 	default:
@@ -520,9 +527,8 @@ func (ch *Chip) notePeriod(co *core, inactive [2]bool) {
 // (priority 1) the low-priority thread dynamically picks up any cycle the
 // favored thread cannot use.
 func (ch *Chip) decode(coreID int, co *core) {
-	inactive := [2]bool{!co.ctx[0].running, !co.ctx[1].running}
 	if int64(co.alloc.Period) > ch.ffMaxPeriod {
-		ch.notePeriod(co, inactive)
+		ch.notePeriod(co)
 	}
 	var owner int
 	if co.alloc.Mode == hwpri.ModeLeftover {
@@ -531,12 +537,12 @@ func (ch *Chip) decode(coreID int, co *core) {
 		// backpressure does not donate the slot: the dispatch cycle is
 		// simply lost, as for any stalled owner.
 		fetchIdle := [2]bool{
-			inactive[0] || ch.cycle < co.ctx[0].blockedUntil,
-			inactive[1] || ch.cycle < co.ctx[1].blockedUntil,
+			co.idle[0] || ch.cycle < co.ctx[0].blockedUntil,
+			co.idle[1] || ch.cycle < co.ctx[1].blockedUntil,
 		}
 		owner = co.alloc.Owner(ch.cycle, fetchIdle)
 	} else {
-		owner = co.alloc.Owner(ch.cycle, inactive)
+		owner = co.alloc.Owner(ch.cycle, co.idle)
 	}
 	if owner < 0 || ch.decodeBlocked(co, owner) {
 		return
@@ -544,16 +550,16 @@ func (ch *Chip) decode(coreID int, co *core) {
 	ctx := &co.ctx[owner]
 	ctx.stats.DecodeCycles++
 	cap := ch.cfg.WindowSize
-	if co.ctx[1-owner].running && ch.cfg.ThreadWindowCap < cap {
+	if !co.idle[1-owner] && ch.cfg.ThreadWindowCap < cap {
 		cap = ch.cfg.ThreadWindowCap
 	}
-	in := &ch.decodeIn
 	for n := 0; n < ch.cfg.DecodeWidth; n++ {
 		if co.windowUsed >= ch.cfg.WindowSize || ctx.count >= cap {
 			return
 		}
-		if !ctx.stream.Next(in) {
-			ctx.running = false
+		e := &ctx.ring[ctx.tail]
+		if !ctx.stream.Next(&e.Instr) {
+			co.idle[owner] = true
 			if ctx.count == 0 {
 				ch.active--
 			}
@@ -562,27 +568,25 @@ func (ch *Chip) decode(coreID int, co *core) {
 			}
 			return
 		}
-		e := entry{
-			op:        in.Op,
-			addr:      in.Addr,
-			dep:       in.Dep,
-			pos:       ctx.decodePos,
-			decodedAt: ch.cycle,
+		e.pos, e.decodedAt = ctx.decodePos, ch.cycle
+		if ctx.tail++; ctx.tail == len(ctx.ring) {
+			ctx.tail = 0
 		}
+		ctx.count++
+		ctx.unissued++
 		ctx.decodePos++
-		ctx.push(e)
 		co.windowUsed++
 		ctx.stats.Decoded++
-		switch in.Op {
+		switch e.Op {
 		case isa.Branch:
-			if !co.bp.Predict(owner, in.PC, in.Taken) {
+			if !co.bp.Predict(owner, e.PC, e.Taken) {
 				ctx.stats.Mispredicts++
 				ctx.blockedUntil = ch.cycle + int64(ch.cfg.MispredictPenalty)
 				return
 			}
 		case isa.OrNop:
 			ctx.stats.PrioritySets++
-			p := hwpri.Priority(in.Pri)
+			p := hwpri.Priority(e.Pri)
 			if p.Valid() && hwpri.CanSet(ctx.priv, p) && p != ctx.prio {
 				ctx.prio = p
 				co.alloc = hwpri.Alloc(co.ctx[0].prio, co.ctx[1].prio)
@@ -597,8 +601,8 @@ func (ch *Chip) decode(coreID int, co *core) {
 // sibling is active — the POWER5 dynamic-resource-balancing behaviour.
 func (ch *Chip) decodeBlocked(co *core, t int) bool {
 	ctx := &co.ctx[t]
-	if !ctx.running || ch.cycle < ctx.blockedUntil || co.windowUsed >= ch.cfg.WindowSize {
+	if co.idle[t] || ch.cycle < ctx.blockedUntil || co.windowUsed >= ch.cfg.WindowSize {
 		return true
 	}
-	return co.ctx[1-t].running && ctx.count >= ch.cfg.ThreadWindowCap
+	return !co.idle[1-t] && ctx.count >= ch.cfg.ThreadWindowCap
 }

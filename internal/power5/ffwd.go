@@ -28,9 +28,9 @@ import (
 //     completion time of position decodePos-j) with values clamped
 //     relative to now — the slot *values* determine every future
 //     dependency check, whoever wrote them.
-//   - MSHR entries at or below the current cycle are expired: the next
-//     issue pass prunes them by value, so only live entries are
-//     captured (relative), and expired ones are simply shifted on
+//   - MSHR entries at or below the current cycle are expired: issue
+//     prunes them by value when the file is full, so only live entries
+//     are captured (relative), and expired ones are simply shifted on
 //     advance, where they remain expired.
 
 // ffPosHorizon is the decode position beyond which the absolute
@@ -74,7 +74,7 @@ func (ch *Chip) FFNorm(b []byte) ([]byte, bool) {
 				b = ff.FFNorm(b)
 			}
 			flags := byte(0)
-			if ctx.running {
+			if !co.idle[t] {
 				flags |= 1
 			}
 			b = append(b, flags, byte(ctx.prio), byte(ctx.priv))
@@ -92,15 +92,16 @@ func (ch *Chip) FFNorm(b []byte) ([]byte, bool) {
 				if idx == len(ctx.ring) {
 					idx = 0
 				}
+				issued := i < ctx.count-ctx.unissued
 				flags := byte(0)
-				if e.issued {
+				if issued {
 					flags = 1
 				}
-				b = append(b, byte(e.op), e.dep, flags)
-				b = ffU64(b, e.addr)
+				b = append(b, byte(e.Op), e.Dep, flags)
+				b = ffU64(b, e.Addr)
 				b = ffU64(b, uint64(ch.cycle-e.decodedAt))
 				var done uint64
-				if e.issued {
+				if issued {
 					done = ffRel(ch.cycle, e.doneAt)
 				}
 				b = ffU64(b, done)

@@ -103,5 +103,6 @@ func (g *Gen) FFCtrs(c []int64) []int64 {
 func (g *Gen) FFAdvance(k, dt int64, d []int64) []int64 {
 	g.pos += k * d[0]
 	g.cursor += uint64(k * d[1])
+	g.sync()
 	return d[2:]
 }

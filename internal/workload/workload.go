@@ -13,6 +13,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/isa"
 )
@@ -206,13 +207,27 @@ func pcBase(k Kind) uint32 { return uint32(k) << 16 }
 
 // Gen generates the dynamic instruction stream of one Load.  It implements
 // isa.Stream.
+//
+// Next divides nothing: idx and off are kept incrementally as pos mod
+// len(pattern) and cursor mod footprint, and every path that moves pos
+// or cursor otherwise (Reset, FFAdvance) recomputes both through sync.
 type Gen struct {
 	load      Load
 	pattern   []step
 	footprint uint64
-	pos       int64
-	lcg       uint64
-	cursor    uint64
+	// limit is the position at which the stream runs dry: N for a
+	// finite load, never for Spin or N <= 0.
+	limit int64
+	// seqStep is 8 mod footprint, the offset advance of one 8-byte step.
+	seqStep uint64
+	// randMask is footprint-1 when the footprint is a power of two, so
+	// random addresses reduce by a mask; 0 otherwise.
+	randMask uint64
+	pos      int64
+	lcg      uint64
+	cursor   uint64
+	idx      int    // pos mod len(pattern)
+	off      uint64 // cursor mod footprint
 }
 
 // NewGen returns the generator for the load.
@@ -220,10 +235,19 @@ func NewGen(l Load) *Gen {
 	if l.Kind >= numKinds {
 		panic(fmt.Sprintf("workload: invalid kind %d", l.Kind))
 	}
+	fp := uint64(l.footprint())
 	g := &Gen{
 		load:      l,
 		pattern:   patterns[l.Kind],
-		footprint: uint64(l.footprint()),
+		footprint: fp,
+		limit:     math.MaxInt64,
+		seqStep:   8 % fp,
+	}
+	if l.Kind != Spin && l.N > 0 {
+		g.limit = l.N
+	}
+	if fp&(fp-1) == 0 {
+		g.randMask = fp - 1
 	}
 	g.Reset()
 	return g
@@ -235,25 +259,33 @@ func (l Load) Stream() isa.Stream { return NewGen(l) }
 
 // Next implements isa.Stream.
 func (g *Gen) Next(in *isa.Instr) bool {
-	if g.load.Kind != Spin && g.load.N > 0 && g.pos >= g.load.N {
+	if g.pos >= g.limit {
 		return false
 	}
-	idx := int(g.pos % int64(len(g.pattern)))
-	st := g.pattern[idx]
+	st := g.pattern[g.idx]
 	in.Op = st.op
 	in.Dep = st.dep
-	in.PC = pcBase(g.load.Kind) + uint32(idx)*4
+	in.PC = pcBase(g.load.Kind) + uint32(g.idx)*4
 	in.Addr = 0
 	in.Taken = false
 	in.Pri = 0
 	switch st.mode {
 	case addrSeq:
-		in.Addr = g.load.Base + g.cursor%g.footprint
+		in.Addr = g.load.Base + g.off
 		g.cursor += 8
+		if g.off += g.seqStep; g.off >= g.footprint {
+			g.off -= g.footprint
+		}
 	case addrRand:
 		g.lcg = g.lcg*6364136223846793005 + 1442695040888963407
 		// Line-aligned random address within the footprint.
-		in.Addr = g.load.Base + (g.lcg>>17)%g.footprint&^uint64(127)
+		r := g.lcg >> 17
+		if g.randMask != 0 {
+			r &= g.randMask
+		} else {
+			r %= g.footprint
+		}
+		in.Addr = g.load.Base + r&^uint64(127)
 	case addrFixed:
 		in.Addr = g.load.Base
 	}
@@ -270,10 +302,13 @@ func (g *Gen) Next(in *isa.Instr) bool {
 			}
 		} else {
 			// Loop-closing branch: taken except on rare exits.
-			in.Taken = g.pos%4096 != 4095
+			in.Taken = g.pos&4095 != 4095
 		}
 	}
 	g.pos++
+	if g.idx++; g.idx == len(g.pattern) {
+		g.idx = 0
+	}
 	return true
 }
 
@@ -282,6 +317,14 @@ func (g *Gen) Reset() {
 	g.pos = 0
 	g.lcg = g.load.Seed*2862933555777941757 + 3037000493
 	g.cursor = 0
+	g.sync()
+}
+
+// sync recomputes the incremental pattern index and footprint offset
+// from pos and cursor.
+func (g *Gen) sync() {
+	g.idx = int(g.pos % int64(len(g.pattern)))
+	g.off = g.cursor % g.footprint
 }
 
 // Emitted returns how many instructions have been produced since Reset.

@@ -247,3 +247,68 @@ func TestPropWellFormedInstructions(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestIncrementalIndexAndOffset: the pattern index and footprint offset
+// Next keeps incrementally equal pos mod len(pattern) and cursor mod
+// footprint after Next, FFAdvance and Reset, and a generator advanced by
+// FFAdvance goes on exactly as one that ran the same window.
+func TestIncrementalIndexAndOffset(t *testing.T) {
+	check := func(g *Gen, when string) {
+		t.Helper()
+		if want := int(g.pos % int64(len(g.pattern))); g.idx != want {
+			t.Fatalf("%v/%d after %s: idx %d, want pos %d mod %d = %d",
+				g.load.Kind, g.footprint, when, g.idx, g.pos, len(g.pattern), want)
+		}
+		if want := g.cursor % g.footprint; g.off != want {
+			t.Fatalf("%v/%d after %s: off %d, want cursor %d mod footprint = %d",
+				g.load.Kind, g.footprint, when, g.off, g.cursor, want)
+		}
+	}
+	var in, ref isa.Instr
+	for _, l := range []Load{
+		{Kind: L1, Footprint: 1 << 10},
+		{Kind: L2, Footprint: 4 << 10},
+		{Kind: FXU, Footprint: 12 << 10},
+		{Kind: L1, Footprint: 5},
+		{Kind: Mem},
+	} {
+		l.N, l.Seed, l.Base = 1<<62, 3, 1<<32
+		g := NewGen(l)
+		check(g, "NewGen")
+		for i := 0; i < 1000; i++ {
+			g.Next(&in)
+			check(g, "Next")
+		}
+		// Windows whose position and cursor deltas are multiples of
+		// neither the pattern length nor the footprint.
+		for _, w := range []int64{1, 37, 1001} {
+			ran := NewGen(l)
+			*ran = *g
+			c := ran.FFCtrs(nil)
+			for i := int64(0); i < w; i++ {
+				ran.Next(&ref)
+			}
+			d := ran.FFCtrs(nil)
+			if rest := g.FFAdvance(1, 0, []int64{d[0] - c[0], d[1] - c[1]}); len(rest) != 0 {
+				t.Fatalf("FFAdvance left %d deltas", len(rest))
+			}
+			check(g, "FFAdvance")
+			if !UsesLCG(l.Kind) { // FFAdvance does not replay the random state
+				for i := 0; i < 64; i++ {
+					g.Next(&in)
+					ran.Next(&ref)
+					if in != ref {
+						t.Fatalf("%v/%d: instruction %d after a %d-instruction FFAdvance = %+v, want %+v",
+							l.Kind, g.footprint, i, w, in, ref)
+					}
+				}
+			}
+			for _, k := range []int64{3, 1000} {
+				g.FFAdvance(k, 0, []int64{w, 8*w + 5})
+				check(g, "FFAdvance")
+			}
+		}
+		g.Reset()
+		check(g, "Reset")
+	}
+}

@@ -2,7 +2,6 @@ package smtbalance
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"repro/internal/sweep"
 	"repro/internal/trace"
@@ -61,6 +60,18 @@ type diskMetrics struct {
 	ImbalancePct float64 `json:"imbalance_pct"`
 }
 
+// recordError reports a disk record that failed to decode.
+type recordError struct {
+	kind string // "result" or "metrics"
+	err  error
+}
+
+func (e *recordError) Error() string {
+	return "smtbalance: corrupt " + e.kind + " record: " + e.err.Error()
+}
+
+func (e *recordError) Unwrap() error { return e.err }
+
 // encodeResult renders a Result as its disk record.  Results without a
 // trace are not persistable (the record would revive incompletely) and
 // report ok=false.
@@ -104,7 +115,7 @@ func encodeResult(r *Result) (data []byte, ok bool) {
 func decodeResult(data []byte) (*Result, error) {
 	var rec diskResult
 	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, fmt.Errorf("smtbalance: corrupt result record: %w", err)
+		return nil, &recordError{"result", err}
 	}
 	ranks := make([][]trace.Interval, len(rec.Trace))
 	for i, ivs := range rec.Trace {
@@ -114,7 +125,7 @@ func decodeResult(data []byte) (*Result, error) {
 	}
 	tr, err := trace.FromIntervals(ranks, rec.TraceEnd)
 	if err != nil {
-		return nil, fmt.Errorf("smtbalance: corrupt result record: %w", err)
+		return nil, &recordError{"result", err}
 	}
 	out := &Result{
 		Seconds:       rec.Seconds,
@@ -149,7 +160,7 @@ func encodeMetrics(m sweep.Metrics) []byte {
 func decodeMetrics(data []byte) (sweep.Metrics, error) {
 	var rec diskMetrics
 	if err := json.Unmarshal(data, &rec); err != nil {
-		return sweep.Metrics{}, fmt.Errorf("smtbalance: corrupt metrics record: %w", err)
+		return sweep.Metrics{}, &recordError{"metrics", err}
 	}
 	return sweep.Metrics{Cycles: rec.Cycles, Seconds: rec.Seconds, ImbalancePct: rec.ImbalancePct}, nil
 }

@@ -153,13 +153,34 @@ func ParsePolicy(s string) (Policy, error) {
 	factory := policyRegistry.m[name]
 	policyRegistry.RUnlock()
 	if factory == nil {
-		return nil, fmt.Errorf("smtbalance: unknown policy %q (registered: %s)", name, strings.Join(Policies(), ", "))
+		return nil, specErrorf("policy", s, "smtbalance: unknown policy %q (registered: %s)", name, strings.Join(Policies(), ", "))
 	}
 	pol, err := factory(params)
 	if err != nil {
-		return nil, fmt.Errorf("smtbalance: policy %q: %w", name, err)
+		return nil, specErrorf("policy", s, "smtbalance: policy %q: %w", name, err)
 	}
 	return pol, nil
+}
+
+// SpecError is the error ParsePolicy and ParseScenario return for every
+// specification they reject.
+type SpecError struct {
+	// Registry is "policy" or "scenario".
+	Registry string
+	// Spec is the rejected specification.
+	Spec string
+	// Err says what is wrong with it.
+	Err error
+}
+
+// Error returns Err's message, which names the specification.
+func (e *SpecError) Error() string { return e.Err.Error() }
+
+// Unwrap returns Err.
+func (e *SpecError) Unwrap() error { return e.Err }
+
+func specErrorf(registry, spec, format string, args ...any) error {
+	return &SpecError{Registry: registry, Spec: spec, Err: fmt.Errorf(format, args...)}
 }
 
 // parseSpec splits a registry specification — a name followed by
@@ -170,7 +191,7 @@ func parseSpec(what, s string) (name string, params map[string]string, err error
 	fields := strings.Split(s, ",")
 	name = strings.TrimSpace(fields[0])
 	if name == "" {
-		return "", nil, fmt.Errorf("smtbalance: empty %s specification %q", what, s)
+		return "", nil, specErrorf(what, s, "smtbalance: empty %s specification %q", what, s)
 	}
 	params = make(map[string]string)
 	for _, f := range fields[1:] {
@@ -181,10 +202,10 @@ func parseSpec(what, s string) (name string, params map[string]string, err error
 		k, v, ok := strings.Cut(f, "=")
 		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
 		if !ok || k == "" || v == "" {
-			return "", nil, fmt.Errorf("smtbalance: bad %s parameter %q in %q (want key=value)", what, f, s)
+			return "", nil, specErrorf(what, s, "smtbalance: bad %s parameter %q in %q (want key=value)", what, f, s)
 		}
 		if _, dup := params[k]; dup {
-			return "", nil, fmt.Errorf("smtbalance: duplicate %s parameter %q in %q", what, k, s)
+			return "", nil, specErrorf(what, s, "smtbalance: duplicate %s parameter %q in %q", what, k, s)
 		}
 		params[k] = v
 	}
@@ -224,7 +245,7 @@ func paramFloat(params map[string]string, key string, def, min, max float64) (fl
 	if err != nil {
 		return 0, fmt.Errorf("parameter %s=%q: want a number", key, s)
 	}
-	if v <= min || v > max {
+	if !(v > min && v <= max) { // also rejects NaN
 		return 0, fmt.Errorf("parameter %s=%g outside (%g, %g]", key, v, min, max)
 	}
 	return v, nil

@@ -2,6 +2,7 @@ package smtbalance
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -99,9 +100,17 @@ func TestParsePolicy(t *testing.T) {
 		"dyn,threshold=0", "dyn,threshold=2", "dyn,hysteresis=0",
 		"hier,maxdiff=5", "feedback,gain=-1", "feedback,deadband=1.5",
 		"feedback,threshold=0.1", // feedback has no threshold knob
+		// NaN compares false against both bounds of a range check.
+		"feedback,gain=NaN", "dyn,threshold=nan",
 	} {
-		if _, err := ParsePolicy(bad); err == nil {
+		_, err := ParsePolicy(bad)
+		if err == nil {
 			t.Errorf("ParsePolicy(%q) accepted", bad)
+			continue
+		}
+		var se *SpecError
+		if !errors.As(err, &se) || se.Registry != "policy" || se.Spec != bad {
+			t.Errorf("ParsePolicy(%q) error %T %v, want a *SpecError for it", bad, err, err)
 		}
 	}
 }

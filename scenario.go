@@ -105,11 +105,11 @@ func ParseScenario(s string) (Scenario, error) {
 	factory := scenarioRegistry.m[name]
 	scenarioRegistry.RUnlock()
 	if factory == nil {
-		return nil, fmt.Errorf("smtbalance: unknown scenario %q (registered: %s)", name, strings.Join(Scenarios(), ", "))
+		return nil, specErrorf("scenario", s, "smtbalance: unknown scenario %q (registered: %s)", name, strings.Join(Scenarios(), ", "))
 	}
 	sc, err := factory(params)
 	if err != nil {
-		return nil, fmt.Errorf("smtbalance: scenario %q: %w", name, err)
+		return nil, specErrorf("scenario", s, "smtbalance: scenario %q: %w", name, err)
 	}
 	return sc, nil
 }
