@@ -6,6 +6,8 @@
 // priority mechanism redistributes.
 package branch
 
+import "encoding/binary"
+
 // Predictor is a gshare predictor with per-context global history.
 type Predictor struct {
 	table []uint8 // 2-bit saturating counters
@@ -79,15 +81,28 @@ func (p *Predictor) Reset() {
 	p.stats = [2]Stats{}
 }
 
+// initWord is eight weakly-taken counters: the table word of a
+// predictor that has never seen a branch there.
+const initWord = 0x0202020202020202
+
 // FFNorm appends the predictor's behavioral state (counter table and
 // per-context histories) for the phase-skip engine's machine snapshots;
-// see isa.FastForwarder for the capture/advance contract.  The counters
-// and histories are pure state — no absolute cycle numbers — so they are
-// appended raw.
+// see isa.FastForwarder for the capture/advance contract.  The table is
+// captured as its 8-byte words that differ from the weakly-taken initial
+// state, each as (word index, word), then a terminator, so the norm
+// grows with the branches a job touches rather than with the table.
+// Two norms of predictors of one size are equal exactly when their
+// tables and histories are.
 func (p *Predictor) FFNorm(b []byte) []byte {
-	b = append(b, p.table...)
+	for i := 0; i < len(p.table); i += 8 {
+		if w := binary.LittleEndian.Uint64(p.table[i:]); w != initWord {
+			b = binary.LittleEndian.AppendUint32(b, uint32(i/8))
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+	}
+	b = binary.LittleEndian.AppendUint32(b, ^uint32(0))
 	for _, h := range p.hist {
-		b = append(b, byte(h), byte(h>>8), byte(h>>16), byte(h>>24))
+		b = binary.LittleEndian.AppendUint32(b, h)
 	}
 	return b
 }

@@ -1,6 +1,7 @@
 package branch
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -126,5 +127,75 @@ func TestMispredictRateZeroDivision(t *testing.T) {
 	var s Stats
 	if s.MispredictRate() != 0 {
 		t.Error("empty stats must report rate 0")
+	}
+}
+
+// TestFFNormProperty drives predictors of 2^4 … 2^14 counters with short
+// random Predict sequences — random contexts, a few branch addresses,
+// and outcomes drawn as Branchy draws them (fair coin, 13/16 biased,
+// always taken) — so that distinct sequences often reach equal states.
+// Across every pair, two norms must be equal exactly when the tables and
+// histories are, and each norm must hold one record per touched table
+// word: its size follows what a job touched, not the table size.
+func TestFFNormProperty(t *testing.T) {
+	var equalPairs, unequalPairs int
+	for bits := 4; bits <= 14; bits++ {
+		rng := rand.New(rand.NewSource(int64(bits)))
+		preds := make([]*Predictor, 48)
+		for i := range preds {
+			p := New(bits)
+			for n := rng.Intn(7); n > 0; n-- {
+				var taken bool
+				switch rng.Intn(3) {
+				case 0:
+					taken = rng.Intn(2) == 0
+				case 1:
+					taken = rng.Intn(16) < 13
+				default:
+					taken = true
+				}
+				p.Predict(rng.Intn(2), uint32(rng.Intn(4))<<uint(rng.Intn(bits)), taken)
+			}
+			if i%8 == 7 {
+				p.Reset()
+				if !bytes.Equal(p.FFNorm(nil), New(bits).FFNorm(nil)) {
+					t.Fatalf("bits=%d: a reset predictor's norm differs from a new one's", bits)
+				}
+			}
+			preds[i] = p
+		}
+		norms := make([][]byte, len(preds))
+		for i, p := range preds {
+			norms[i] = p.FFNorm(nil)
+			touched := 0
+			for w := 0; w < len(p.table); w += 8 {
+				for _, c := range p.table[w : w+8] {
+					if c != 2 {
+						touched++
+						break
+					}
+				}
+			}
+			if want := 12*touched + 4 + 8; len(norms[i]) != want {
+				t.Fatalf("bits=%d: %d touched words gave a %d-byte norm, want %d", bits, touched, len(norms[i]), want)
+			}
+		}
+		for i := range preds {
+			for j := i + 1; j < len(preds); j++ {
+				state := bytes.Equal(preds[i].table, preds[j].table) && preds[i].hist == preds[j].hist
+				if norm := bytes.Equal(norms[i], norms[j]); norm != state {
+					t.Fatalf("bits=%d, predictors %d and %d: equal norms %v, equal state %v", bits, i, j, norm, state)
+				}
+				if state {
+					equalPairs++
+				} else {
+					unequalPairs++
+				}
+			}
+		}
+	}
+	// Both sides of the equivalence must have been exercised.
+	if equalPairs < 100 || unequalPairs < 100 {
+		t.Fatalf("%d equal and %d unequal pairs; the sequences no longer cover both cases", equalPairs, unequalPairs)
 	}
 }

@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // HierConfig describes the full memory hierarchy of a chip.  The defaults
 // (DefaultHierConfig) follow the POWER5: 32 KB 4-way L1D per core, a
@@ -38,24 +35,8 @@ type Hierarchy struct {
 	cfg HierConfig
 }
 
-// hierPools maps a HierConfig to the *sync.Pool of released, flushed
-// hierarchies of that configuration.
-var hierPools sync.Map
-
-// NewHierarchy builds the hierarchy, recycling a released one of the
-// same configuration when there is one: a released hierarchy is flushed,
-// so it behaves exactly as a new one.
+// NewHierarchy builds the hierarchy.
 func NewHierarchy(cfg HierConfig) (*Hierarchy, error) {
-	if p, ok := hierPools.Load(cfg); ok {
-		if h, ok := p.(*sync.Pool).Get().(*Hierarchy); ok {
-			return h, nil
-		}
-	}
-	return buildHierarchy(cfg)
-}
-
-// buildHierarchy allocates a new hierarchy of cfg.
-func buildHierarchy(cfg HierConfig) (*Hierarchy, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("mem: need at least one core, got %d", cfg.Cores)
 	}
@@ -128,23 +109,12 @@ func (h *Hierarchy) L2() *Cache { return h.l2 }
 // L3 returns the shared L3 cache (for statistics).
 func (h *Hierarchy) L3() *Cache { return h.l3 }
 
-// Flush invalidates every level.
+// Flush invalidates every level and clears its statistics, in time
+// proportional to the live cache sets.
 func (h *Hierarchy) Flush() {
 	for _, c := range h.l1 {
 		c.Flush()
 	}
 	h.l2.Flush()
 	h.l3.Flush()
-}
-
-// Release flushes h, in time proportional to its live cache sets, and
-// hands it to NewHierarchy for reuse.  The caller must hold the only
-// reference and must not use h afterwards.
-func (h *Hierarchy) Release() {
-	h.Flush()
-	p, ok := hierPools.Load(h.cfg)
-	if !ok {
-		p, _ = hierPools.LoadOrStore(h.cfg, new(sync.Pool))
-	}
-	p.(*sync.Pool).Put(h)
 }

@@ -112,11 +112,12 @@ func probeHierarchy(h *Hierarchy, addrs []uint64) probe {
 	return p
 }
 
-// TestHierarchyReleaseReuse dirties a hierarchy with a footprint larger
-// than the L3, releases it and takes a hierarchy back: it must be
-// indistinguishable from a newly built one, before and after the same
-// access sequence — stale tags left in the recycled arrays never show.
-func TestHierarchyReleaseReuse(t *testing.T) {
+// TestHierarchyFlushMatchesFresh dirties a hierarchy with a footprint
+// larger than the L3 and flushes it: it must be indistinguishable from a
+// newly built one, before and after the same access sequence — stale
+// tags left in the flushed arrays never show.  Recycled chips rely on
+// this (power5.Machine.Release flushes each chip's hierarchy).
+func TestHierarchyFlushMatchesFresh(t *testing.T) {
 	cfg := DefaultHierConfig(2)
 	rng := rand.New(rand.NewSource(7))
 	span := 2 * uint64(cfg.L3.SizeBytes)
@@ -125,58 +126,28 @@ func TestHierarchyReleaseReuse(t *testing.T) {
 		addrs = append(addrs, rng.Uint64()%span)
 	}
 
-	h, err := NewHierarchy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for a := uint64(0); a < span; a += uint64(cfg.L3.LineBytes) {
-		h.LoadLatency(int(a/256)%cfg.Cores, a)
-	}
-	h.Release()
 	got, err := NewHierarchy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := buildHierarchy(cfg)
+	for a := uint64(0); a < span; a += uint64(cfg.L3.LineBytes) {
+		got.LoadLatency(int(a/256)%cfg.Cores, a)
+	}
+	got.Flush()
+	fresh, err := NewHierarchy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A pool may drop what it is given, so also check the released
-	// hierarchy itself, which is what the pool hands out.
-	for name, r := range map[string]*Hierarchy{"taken": got, "released": h} {
-		if a, b := probeHierarchy(r, addrs), probeHierarchy(fresh, addrs); !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s hierarchy differs from a fresh one", name)
-		}
+	if a, b := probeHierarchy(got, addrs), probeHierarchy(fresh, addrs); !reflect.DeepEqual(a, b) {
+		t.Fatal("flushed hierarchy differs from a fresh one")
 	}
 	for i, a := range addrs {
 		core := i % cfg.Cores
 		if lg, lf := got.LoadLatency(core, a), fresh.LoadLatency(core, a); lg != lf {
-			t.Fatalf("access %d (%#x): latency %d on the recycled hierarchy, %d on a fresh one", i, a, lg, lf)
+			t.Fatalf("access %d (%#x): latency %d on the flushed hierarchy, %d on a fresh one", i, a, lg, lf)
 		}
 	}
 	if a, b := probeHierarchy(got, addrs), probeHierarchy(fresh, addrs); !reflect.DeepEqual(a, b) {
-		t.Fatal("recycled hierarchy diverges from a fresh one under the same accesses")
-	}
-}
-
-// TestHierarchyReleaseKeepsConfigsApart releases hierarchies of two
-// configurations and checks each comes back only for its own.
-func TestHierarchyReleaseKeepsConfigsApart(t *testing.T) {
-	one, two := DefaultHierConfig(1), DefaultHierConfig(2)
-	for _, cfg := range []HierConfig{one, two} {
-		h, err := NewHierarchy(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.Release()
-	}
-	for _, cfg := range []HierConfig{two, one} {
-		h, err := NewHierarchy(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.Config() != cfg || len(h.l1) != cfg.Cores {
-			t.Fatalf("NewHierarchy(%d cores) returned a %d-core hierarchy", cfg.Cores, len(h.l1))
-		}
+		t.Fatal("flushed hierarchy diverges from a fresh one under the same accesses")
 	}
 }

@@ -3,6 +3,7 @@ package mpisim
 import (
 	"bytes"
 	"encoding/binary"
+	"sync"
 
 	"repro/internal/workload"
 )
@@ -68,7 +69,8 @@ import (
 // a deep history costs memory (≤ cap · norm size), not scan time.
 const ffHistCap = 80
 
-// ffSnap is one anchor snapshot.
+// ffSnap is one anchor snapshot.  Its slices are overwritten in place
+// when the slot is reused.
 type ffSnap struct {
 	cycle     int64
 	hash      uint64
@@ -80,15 +82,45 @@ type ffSnap struct {
 	iteration int
 }
 
-// ffEngine holds the phase-skip state of one run.
+// ffEngine holds the phase-skip state of one run.  Engines are recycled
+// through ffPool together with their buffers: the history slots, the
+// norm scratch and ffApply's counter and arrival scratch.
 type ffEngine struct {
-	hist    []ffSnap
-	scratch []byte
+	hist     []ffSnap // oldest first; cap ffHistCap, slots past len keep their buffers
+	scratch  []byte
+	ctrs     []int64
+	arrivals []int64
 	// skips counts applied skips; windows and cycles total what they
 	// covered (exposed as Result.SkippedCycles).
 	skips   int
 	windows int64
 	cycles  int64
+}
+
+// ffPool recycles engines across runs.
+var ffPool = sync.Pool{New: func() any {
+	return &ffEngine{hist: make([]ffSnap, 0, ffHistCap)}
+}}
+
+// newFFEngine takes an engine from ffPool, emptied for a new run.
+func newFFEngine() *ffEngine {
+	e := ffPool.Get().(*ffEngine)
+	e.hist = e.hist[:0]
+	e.skips, e.windows, e.cycles = 0, 0, 0
+	return e
+}
+
+// nextSlot returns the history slot for a new snapshot: the next slot
+// past the newest, or, at ffHistCap, the oldest one moved to the end.
+func (e *ffEngine) nextSlot() *ffSnap {
+	if n := len(e.hist); n == ffHistCap {
+		oldest := e.hist[0]
+		copy(e.hist, e.hist[1:])
+		e.hist[n-1] = oldest
+	} else {
+		e.hist = e.hist[:n+1]
+	}
+	return &e.hist[len(e.hist)-1]
 }
 
 // ffHash pre-filters snapshot comparisons (a match is confirmed with
@@ -177,24 +209,21 @@ func (rt *runtime) ffNorm(b []byte) ([]byte, bool) {
 	return rt.tr.FFNorm(b), true
 }
 
-// ffSnapshot captures the current state as a history entry.  norm must
+// ffSnapshot records the current state in a history slot.  norm must
 // be the current ffNorm output.
-func (rt *runtime) ffSnapshot(norm []byte, hash uint64) ffSnap {
-	s := ffSnap{
-		cycle:     rt.mach.Cycle(),
-		hash:      hash,
-		norm:      append([]byte(nil), norm...),
-		ctrs:      rt.mach.FFCtrs(nil),
-		pc:        make([]int, len(rt.ranks)),
-		exLen:     make([]int, len(rt.ranks)),
-		trCnt:     rt.tr.FFCounts(),
-		iteration: rt.iteration,
+func (rt *runtime) ffSnapshot(norm []byte, hash uint64) {
+	s := rt.ff.nextSlot()
+	s.cycle = rt.mach.Cycle()
+	s.hash = hash
+	s.norm = append(s.norm[:0], norm...)
+	s.ctrs = rt.mach.FFCtrs(s.ctrs[:0])
+	s.pc, s.exLen = s.pc[:0], s.exLen[:0]
+	for _, rs := range rt.ranks {
+		s.pc = append(s.pc, rs.pc)
+		s.exLen = append(s.exLen, len(rs.exchangeArrivals))
 	}
-	for i, rs := range rt.ranks {
-		s.pc[i] = rs.pc
-		s.exLen[i] = len(rs.exchangeArrivals)
-	}
-	return s
+	s.trCnt = rt.tr.FFCounts(s.trCnt[:0])
+	s.iteration = rt.iteration
 }
 
 // ffOnAnchor runs at the main-loop boundary following an anchor event:
@@ -215,13 +244,7 @@ func (rt *runtime) ffOnAnchor() {
 			break
 		}
 	}
-	snap := rt.ffSnapshot(norm, h)
-	if len(e.hist) == ffHistCap {
-		copy(e.hist, e.hist[1:])
-		e.hist[ffHistCap-1] = snap
-	} else {
-		e.hist = append(e.hist, snap)
-	}
+	rt.ffSnapshot(norm, h)
 }
 
 // ffWindows returns how many extra repetitions of the window ending now
@@ -301,13 +324,14 @@ func (rt *runtime) ffApply(h *ffSnap) {
 	dt := k * q
 
 	// Machine: counters advance by k deltas, clocks shift by dt.
-	cur := rt.mach.FFCtrs(nil)
-	if len(cur) != len(h.ctrs) {
+	e := rt.ff
+	delta := rt.mach.FFCtrs(e.ctrs[:0])
+	e.ctrs = delta
+	if len(delta) != len(h.ctrs) {
 		panic("mpisim: phase-skip counter shape mismatch")
 	}
-	delta := cur // reuse: overwrite in place
 	for i := range delta {
-		delta[i] = cur[i] - h.ctrs[i]
+		delta[i] -= h.ctrs[i]
 	}
 	if rest := rt.mach.FFAdvance(k, dt, delta); len(rest) != 0 {
 		panic("mpisim: phase-skip advance consumed wrong counter count")
@@ -337,7 +361,8 @@ func (rt *runtime) ffApply(h *ffSnap) {
 		}
 		win := rs.exchangeArrivals[h.exLen[rs.id]:]
 		if len(win) > 0 {
-			w := append([]int64(nil), win...)
+			w := append(e.arrivals[:0], win...)
+			e.arrivals = w
 			for j := int64(1); j <= k; j++ {
 				for _, a := range w {
 					rs.exchangeArrivals = append(rs.exchangeArrivals, a+j*q)
@@ -351,7 +376,6 @@ func (rt *runtime) ffApply(h *ffSnap) {
 	rt.iteration += int(k) * (rt.iteration - h.iteration)
 	rt.tr.FFReplicate(h.trCnt, k, q, h.cycle)
 
-	e := rt.ff
 	e.skips++
 	e.windows += k
 	e.cycles += dt

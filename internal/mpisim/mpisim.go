@@ -372,7 +372,11 @@ func RunCtx(ctx context.Context, job *Job, pl Placement, cfg Config) (*Result, e
 	rt.byPID = make(map[int]*rankState, n)
 	rt.kern.OnProcessStreamEnd(rt.onStreamEnd)
 	if !cfg.Exact && cfg.OnIteration == nil && cfg.LoadDrift == nil {
-		rt.ff = &ffEngine{}
+		// The engine outlives a disarm (rt.ff = nil), so it is returned
+		// to the pool from here.
+		ff := newFFEngine()
+		defer ffPool.Put(ff)
+		rt.ff = ff
 	}
 
 	// A priority-7 rank asks for Single Thread mode: take its unused

@@ -12,11 +12,11 @@ import (
 
 // TestRunReuseRecycledHierarchies runs a job, then a job whose memory
 // phase streams over a footprint larger than the L3 (as SIESTA's does),
-// then the first job again.  RunCtx recycles each run's cache
-// hierarchies into the next, so the second run of the first job starts
-// on caches the memory phase dirtied; its result, trace and phase-skip
-// coverage must equal the first run's, also when several goroutines
-// recycle hierarchies at once.
+// then the first job again.  RunCtx recycles each run's chips (and so
+// their cache hierarchies) into the next, so the second run of the first
+// job starts on caches the memory phase dirtied; its result, trace and
+// phase-skip coverage must equal the first run's, also when several
+// goroutines recycle chips at once.
 func TestRunReuseRecycledHierarchies(t *testing.T) {
 	var mc mpisim.Config
 	quiet(&mc)

@@ -2,6 +2,7 @@ package power5
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/branch"
 	"repro/internal/hwpri"
@@ -72,11 +73,15 @@ type context struct {
 	stats ContextStats
 }
 
-func (ctx *context) reset(windowSize int) {
-	ctx.ring = make([]entry, windowSize+1)
+// reset returns the context to its power-on state: no stream, an empty
+// ring (its slots are kept), clear completion times and counters.
+func (ctx *context) reset() {
+	ctx.stream = nil
 	ctx.head, ctx.issueIdx, ctx.tail, ctx.count, ctx.unissued = 0, 0, 0, 0, 0
 	ctx.decodePos = 0
+	ctx.doneTimes = [depRing]int64{}
 	ctx.blockedUntil = 0
+	ctx.stats = ContextStats{}
 	ctx.prio = hwpri.Medium
 	ctx.priv = hwpri.ProblemState
 }
@@ -106,6 +111,8 @@ type Chip struct {
 	hier   *mem.Hierarchy
 	cycle  int64
 	halted bool
+	// released is set while the chip waits in chipPools for reuse.
+	released bool
 	// active counts contexts that are running or have instructions in
 	// flight, so the per-cycle idleness check is O(1).
 	active int
@@ -126,16 +133,28 @@ type Chip struct {
 	onEmpty func(core, thread int)
 }
 
-// New builds a chip from cfg.
+// chipPools maps a validated Config to the *sync.Pool of released chips
+// of that configuration (see Machine.Release).
+var chipPools sync.Map
+
+// New builds a chip from cfg, recycling a released chip of the same
+// configuration when there is one: a released chip is reset to the
+// power-on state, so it behaves exactly as a new one.
 func New(cfg Config) (*Chip, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
+	}
+	if p, ok := chipPools.Load(cfg); ok {
+		if ch, ok := p.(*sync.Pool).Get().(*Chip); ok {
+			ch.released = false
+			return ch, nil
+		}
 	}
 	hier, err := mem.NewHierarchy(cfg.Hier)
 	if err != nil {
 		return nil, err
 	}
-	ch := &Chip{cfg: cfg, hier: hier, ffMaxPeriod: 2}
+	ch := &Chip{cfg: cfg, hier: hier}
 	ch.unitCap[isa.UnitFX] = cfg.FXUnits
 	ch.unitCap[isa.UnitFP] = cfg.FPUnits
 	ch.unitCap[isa.UnitLS] = cfg.LSUnits
@@ -150,15 +169,47 @@ func New(cfg Config) (*Chip, error) {
 		co := &core{
 			bp:   branch.New(cfg.BranchBits),
 			mshr: make([]int64, 0, cfg.MSHRs),
-			idle: [2]bool{true, true},
 		}
 		for t := range co.ctx {
-			co.ctx[t].reset(cfg.WindowSize)
+			co.ctx[t].ring = make([]entry, cfg.WindowSize+1)
 		}
-		co.alloc = hwpri.Alloc(co.ctx[0].prio, co.ctx[1].prio)
 		ch.cores = append(ch.cores, co)
 	}
+	ch.reset()
 	return ch, nil
+}
+
+// reset returns the chip to its power-on state, keeping what it has
+// allocated: the caches are flushed in time proportional to their live
+// sets, the predictors are cleared, and the rings and MSHR files are
+// emptied in place.
+func (ch *Chip) reset() {
+	ch.hier.Flush()
+	ch.cycle, ch.halted, ch.active = 0, false, 0
+	ch.ffMaxPeriod = 2
+	ch.onEmpty = nil
+	for _, co := range ch.cores {
+		for t := range co.ctx {
+			co.ctx[t].reset()
+		}
+		co.idle = [2]bool{true, true}
+		co.alloc = hwpri.Alloc(hwpri.Medium, hwpri.Medium)
+		co.bp.Reset()
+		co.mshr = co.mshr[:0]
+		co.windowUsed = 0
+	}
+}
+
+// release resets the chip and hands it to New for reuse.  The caller
+// must hold the only reference and must not use the chip afterwards.
+func (ch *Chip) release() {
+	ch.reset()
+	ch.released = true
+	p, ok := chipPools.Load(ch.cfg)
+	if !ok {
+		p, _ = chipPools.LoadOrStore(ch.cfg, new(sync.Pool))
+	}
+	p.(*sync.Pool).Put(ch)
 }
 
 // MustNew is New that panics on configuration errors.
@@ -307,7 +358,7 @@ func (ch *Chip) AllIdle() bool { return ch.active == 0 }
 
 // Step advances the chip by one cycle.
 func (ch *Chip) Step() {
-	if ch.hier == nil {
+	if ch.released {
 		panic("power5: chip stepped after its Machine was released")
 	}
 	for id, co := range ch.cores {
@@ -446,6 +497,15 @@ func (ch *Chip) issueHead(coreID int, co *core, ctx *context, unitFree *[isa.Num
 	}
 	unit := e.Op.Unit()
 	if unitFree[unit] == 0 {
+		if unit == isa.UnitNone {
+			// No unit executes an undefined op: it would wedge the
+			// context for the rest of the run.
+			thread := 0
+			if ctx != &co.ctx[0] {
+				thread = 1
+			}
+			panic(fmt.Sprintf("power5: core %d thread %d: undefined %v", coreID, thread, e.Op))
+		}
 		return false
 	}
 	var lat int64

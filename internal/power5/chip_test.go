@@ -478,3 +478,19 @@ func TestBadContextPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestUndefinedOpPanics: no functional unit executes an op outside the
+// defined classes, so issuing one must fail loudly, naming the context
+// and the op, instead of wedging the context until Run's budget is
+// spent.
+func TestUndefinedOpPanics(t *testing.T) {
+	ch := MustNew(testConfig())
+	ch.SetStream(1, 1, isa.NewSliceStream([]isa.Instr{{Op: isa.FX}, {Op: isa.Op(42)}, {Op: isa.FX}}))
+	defer func() {
+		const want = "power5: core 1 thread 1: undefined op(42)"
+		if r := recover(); r != want {
+			t.Fatalf("recovered %v, want panic %q", r, want)
+		}
+	}()
+	ch.Run(100_000)
+}

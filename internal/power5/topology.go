@@ -304,13 +304,14 @@ func (m *Machine) TouchMemory(globalCore int, addr uint64) {
 // Hierarchy returns chip i's memory hierarchy (for statistics).
 func (m *Machine) Hierarchy(i int) *mem.Hierarchy { return m.chips[i].Hierarchy() }
 
-// Release hands every chip's memory hierarchy back for reuse by a later
-// machine of the same configuration (see mem.Hierarchy.Release).  Only
-// the machine's owner may call it, once, after its last use: the chips
-// keep no hierarchy, so stepping them afterwards panics.
+// Release resets every chip and hands it to New for reuse by a later
+// machine of the same configuration.  Only the machine's owner may call
+// it, once, after its last use: the machine keeps no chips, and a chip
+// obtained earlier through Chip panics if stepped while it waits for
+// reuse.
 func (m *Machine) Release() {
 	for _, ch := range m.chips {
-		ch.hier.Release()
-		ch.hier = nil
+		ch.release()
 	}
+	m.chips = nil
 }

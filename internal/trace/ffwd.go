@@ -16,11 +16,10 @@ package trace
 // FFCounts exposes the per-rank interval counts so the engine can
 // delimit "the intervals appended during the window".
 
-// FFCounts returns the number of recorded intervals per rank.
-func (t *Trace) FFCounts() []int {
-	c := make([]int, len(t.ranks))
+// FFCounts appends the number of recorded intervals per rank to c.
+func (t *Trace) FFCounts(c []int) []int {
 	for r := range t.ranks {
-		c[r] = len(t.ranks[r])
+		c = append(c, len(t.ranks[r]))
 	}
 	return c
 }
